@@ -453,28 +453,6 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
         out.push_str(&format!(", {} store→load forwards", r.stats.store_forwards));
     }
     out.push('\n');
-    if r.stats.packed_fallbacks > 0 && fallback_warning_is_first(proc.config()) {
-        out.push_str(
-            "warning: packed flag networks requested but inactive — the engine fell back \
-             to the scalar scan (register file wider than the packed lane words); \
-             repeated runs with this configuration warn once, stats stay authoritative\n",
-        );
-    }
-    // Forced-SWAR dispatch is worth one line per configuration: a run
-    // whose numbers were taken with the vector substrate pinned off
-    // should say so (results are bit-identical either way, only
-    // throughput changes). Only noteworthy when the host actually has
-    // a faster level to give up.
-    if (proc.config().force_swar || ultrascalar_prefix::force_swar_active())
-        && ultrascalar_prefix::detected_simd_level() != "swar"
-        && warning_is_first("forced-swar", proc.config())
-    {
-        out.push_str(&format!(
-            "note: SIMD dispatch pinned to the portable SWAR substrate (host supports {}) \
-             — via USIM_FORCE_SWAR or the force_swar config flag\n",
-            ultrascalar_prefix::detected_simd_level()
-        ));
-    }
     if o.show_regs {
         out.push_str("registers:\n");
         for (i, v) in r.regs.iter().enumerate() {
@@ -492,33 +470,6 @@ pub fn execute_program(o: &RunOptions, program: &Program) -> Result<(RunResult, 
         out.push_str(&render_station_occupancy(&r.timings, o.window));
     }
     Ok((r, out))
-}
-
-/// True the first time the (`kind`, `cfg`) pair is seen by the
-/// warn-once registry, false on every repeat: a client issuing
-/// thousands of runs under one configuration used to get one stderr
-/// line per run. Process-global and a linear scan — distinct
-/// configurations per process are few, and the stats counters stay
-/// authoritative regardless. Warning kinds are independent keys, so a
-/// packed-fallback warning never suppresses a forced-SWAR note for the
-/// same configuration (or vice versa).
-pub(crate) fn warning_is_first(kind: &'static str, cfg: &ProcConfig) -> bool {
-    static SEEN: std::sync::OnceLock<std::sync::Mutex<Vec<(&'static str, ProcConfig)>>> =
-        std::sync::OnceLock::new();
-    let mut seen = SEEN
-        .get_or_init(|| std::sync::Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if seen.iter().any(|(k, c)| *k == kind && c == cfg) {
-        return false;
-    }
-    seen.push((kind, cfg.clone()));
-    true
-}
-
-/// The packed-fallback warning's registry key (see [`warning_is_first`]).
-pub(crate) fn fallback_warning_is_first(cfg: &ProcConfig) -> bool {
-    warning_is_first("packed-fallback", cfg)
 }
 
 /// `usim asm`: assemble and list a program.
@@ -668,6 +619,16 @@ mod tests {
     }
 
     #[test]
+    fn build_config_rejects_oversized_window_and_alus() {
+        let o = parse_run(&args("a.asm --window 1000000000")).unwrap();
+        let e = build_config(&o).unwrap_err();
+        assert!(e.contains("window"), "{e}");
+        let o = parse_run(&args("a.asm --window 8 --alus 2000000000")).unwrap();
+        let e = build_config(&o).unwrap_err();
+        assert!(e.contains("ALU"), "{e}");
+    }
+
+    #[test]
     fn execute_run_end_to_end() {
         let o = parse_run(&args("mem.asm --window 8 --show-regs --diagram")).unwrap();
         let src = "
@@ -702,36 +663,6 @@ mod tests {
         let (r, _) = execute_run(&o, src).unwrap();
         assert!(r.halted);
         assert_eq!(r.regs[3], 51);
-    }
-
-    #[test]
-    fn packed_fallback_warning_stays_quiet_and_dedups() {
-        let src = "
-            li r1, 6
-            li r2, 7
-            mul r3, r1, r2
-            halt
-        ";
-        // Pipelined forwarding now rides the hop-banded readiness
-        // words: no fallback, no warning.
-        let o = parse_run(&args("k.asm --window 8 --per-hop 1")).unwrap();
-        let (r, report) = execute_run(&o, src).unwrap();
-        assert_eq!(r.stats.packed_fallbacks, 0);
-        assert!(!report.contains("warning"));
-        // Wide register files stay packed too: 128 registers, clean.
-        let o = parse_run(&args("k.asm --window 8 --regs 128")).unwrap();
-        let (r, report) = execute_run(&o, src).unwrap();
-        assert_eq!(r.stats.packed_fallbacks, 0);
-        assert!(!report.contains("warning"));
-        // The warning registry itself de-duplicates per distinct
-        // configuration: first sighting prints, repeats stay silent,
-        // a different configuration prints again.
-        let a = ProcConfig::ultrascalar_i(2).with_fetch_width(1);
-        let b = ProcConfig::ultrascalar_i(2).with_fetch_width(2);
-        assert!(fallback_warning_is_first(&a));
-        assert!(!fallback_warning_is_first(&a));
-        assert!(fallback_warning_is_first(&b));
-        assert!(!fallback_warning_is_first(&a.clone()));
     }
 
     #[test]

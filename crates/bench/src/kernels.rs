@@ -1,4 +1,5 @@
-//! The A/B benchmark kernels, shared by `step_ab` and `lanes_ab`.
+//! The A/B benchmark kernels, shared by `lanes_ab`, the lane-kernel
+//! differential tests and the benchmark harness.
 //!
 //! Each kernel pins one engine regime (blocked-station-heavy,
 //! forwarding-heavy, …). The `*_seeded` variants read their working
@@ -11,9 +12,9 @@
 
 use ultrascalar_isa::Program;
 
-/// Dependent `div` chains in a loop — the blocked-station-heavy regime
-/// where the packed unready-word gate replaces per-source operand
-/// resolution for every stalled station on every scanned cycle.
+/// Dependent `div` chains in a loop — the blocked-station-heavy regime:
+/// most stations sit operand-blocked for many cycles, so the scan's
+/// per-station readiness resolve and the cycle skip dominate.
 pub fn div_chain(iters: u32) -> Program {
     let src = format!(
         r"
@@ -110,10 +111,8 @@ pub fn wide_div_chain_seeded(iters: u32) -> Program {
 /// Forwarding-heavy fan: a hub register rewritten twice per loop
 /// round, each rewrite feeding a fan of dependent accumulator adds.
 /// Nearly every operand read in the window resolves against an
-/// in-flight writer, so this is the regime where the packed *value*
-/// snapshot (`ProcConfig::packed_values`) replaces the scalar
-/// last-writer walk on the hottest path — and where the per-cycle
-/// last-writer map reset it removes is widest relative to work done.
+/// in-flight writer, so the scan's last-writer forwarding is the
+/// hottest path.
 pub fn forward_fan(iters: u32) -> Program {
     let src = format!(
         r"

@@ -186,8 +186,6 @@ pub struct ServeCounters {
     pub cycles_simulated: u64,
     /// Total instructions committed across all runs.
     pub instructions_committed: u64,
-    /// Runs in which the engine fell back to the scalar scan.
-    pub packed_fallbacks: u64,
     /// Wall time spent handling requests, summed across workers
     /// (parse + simulate + respond).
     pub wall: Duration,
@@ -216,7 +214,6 @@ pub struct ServeShared {
     engines_held: AtomicU64,
     cycles_simulated: AtomicU64,
     instructions_committed: AtomicU64,
-    packed_fallbacks: AtomicU64,
     wall_nanos: AtomicU64,
     worker_requests: Vec<AtomicU64>,
     shutdown: AtomicBool,
@@ -252,7 +249,6 @@ impl ServeShared {
             engines_held: AtomicU64::new(0),
             cycles_simulated: AtomicU64::new(0),
             instructions_committed: AtomicU64::new(0),
-            packed_fallbacks: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
             worker_requests: (0..o.workers).map(|_| AtomicU64::new(0)).collect(),
             shutdown: AtomicBool::new(false),
@@ -292,7 +288,6 @@ impl ServeShared {
             lane_demote_verify: self.lane_demote_verify.load(Ordering::Relaxed),
             cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
             instructions_committed: self.instructions_committed.load(Ordering::Relaxed),
-            packed_fallbacks: self.packed_fallbacks.load(Ordering::Relaxed),
             wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
         }
     }
@@ -452,7 +447,7 @@ impl Worker {
                 let run_started = Instant::now();
                 pooled.engine.run_reusing(&program, &mut pooled.result);
                 let run_wall = run_started.elapsed();
-                count_run(shared, &cfg, &pooled.result);
+                count_run(shared, &pooled.result);
                 line_out.clear();
                 let wall_us = req.timing.then_some(run_wall.as_micros() as u64);
                 write_run(line_out, req, &cfg, &pooled.result, wall_us);
@@ -584,7 +579,7 @@ impl Worker {
             let wall_us = group[0]
                 .timing
                 .then_some(run_started.elapsed().as_micros() as u64);
-            count_run(shared, &cfg, &pooled.result);
+            count_run(shared, &pooled.result);
             write_run(line_out, &group[0], &cfg, &pooled.result, wall_us);
             line_out.push('\n');
         } else {
@@ -632,7 +627,7 @@ impl Worker {
                 Ordering::Relaxed,
             );
             for (req, r) in group[..n].iter().zip(group_results.iter()) {
-                count_run(shared, &cfg, r);
+                count_run(shared, r);
                 let wall_us = req.timing.then_some(share.as_micros() as u64);
                 write_run(line_out, req, &cfg, r, wall_us);
                 line_out.push('\n');
@@ -694,11 +689,7 @@ fn affinity_checkout<'a>(
 }
 
 /// Post-run counter roll-up, shared by the serial and group paths.
-/// The packed-fallback stderr diagnostic is de-duplicated to one line
-/// per distinct configuration (a fallback-prone client used to spam
-/// one warning per run); the aggregated counter in the stats report
-/// stays authoritative either way.
-fn count_run(shared: &ServeShared, cfg: &ProcConfig, r: &RunResult) {
+fn count_run(shared: &ServeShared, r: &RunResult) {
     shared.runs.fetch_add(1, Ordering::Relaxed);
     shared
         .cycles_simulated
@@ -706,16 +697,6 @@ fn count_run(shared: &ServeShared, cfg: &ProcConfig, r: &RunResult) {
     shared
         .instructions_committed
         .fetch_add(r.stats.committed, Ordering::Relaxed);
-    shared
-        .packed_fallbacks
-        .fetch_add(r.stats.packed_fallbacks, Ordering::Relaxed);
-    if r.stats.packed_fallbacks > 0 && crate::cli::fallback_warning_is_first(cfg) {
-        eprintln!(
-            "usim serve: packed flag networks requested but inactive for this \
-             configuration (register file wider than the packed lane words); \
-             further runs with it stay quiet — see packed_fallbacks in stats"
-        );
-    }
 }
 
 /// The `{"ok":false,…}` error response, shared by `handle_line` and
@@ -825,8 +806,7 @@ pub fn final_summary(shared: &ServeShared) -> String {
          {} lane-batched runs over {} epochs \
          ({} divergence peels, {} replay peels; demoted \
          {} incompatible / {} leader / {} structure / {} verify), \
-         {} cycles simulated, {} instructions committed, \
-         {} packed fallbacks, {:.3} s busy",
+         {} cycles simulated, {} instructions committed, {:.3} s busy",
         c.requests,
         c.runs,
         c.errors,
@@ -848,7 +828,6 @@ pub fn final_summary(shared: &ServeShared) -> String {
         c.lane_demote_verify,
         c.cycles_simulated,
         c.instructions_committed,
-        c.packed_fallbacks,
         c.wall.as_secs_f64(),
     )
 }
@@ -882,7 +861,7 @@ fn write_run(
         "\"arch\":\"{arch}\",\"window\":{},\"cluster\":{},\"halted\":{},\
          \"cycles\":{},\"instructions\":{},\"ipc\":{:.4},\"branches\":{},\
          \"mispredictions\":{},\"flushed\":{},\"loads\":{},\"stores\":{},\
-         \"store_forwards\":{},\"packed_fallbacks\":{}",
+         \"store_forwards\":{}",
         cfg.window,
         cfg.cluster,
         r.halted,
@@ -895,7 +874,6 @@ fn write_run(
         r.stats.mem.loads,
         r.stats.mem.stores,
         r.stats.store_forwards,
-        r.stats.packed_fallbacks,
     );
     if req.registers {
         out.push_str(",\"registers\":[");
@@ -929,7 +907,7 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
          \"program_cache_evictions\":{},\"programs_cached\":{},\
          \"engine_pool_hits\":{},\"engine_pool_misses\":{},\
          \"engine_pool_evictions\":{},\"engines_warm\":{},\
-         \"cycles_simulated\":{},\"instructions_committed\":{},\"packed_fallbacks\":{},\
+         \"cycles_simulated\":{},\"instructions_committed\":{},\
          \"wall_s\":{:.6},\"workers\":{},\"cache_shards\":{},\"pool_shards\":{}",
         c.requests,
         c.runs,
@@ -954,7 +932,6 @@ fn write_stats(out: &mut String, shared: &ServeShared) {
         ep.warm,
         c.cycles_simulated,
         c.instructions_committed,
-        c.packed_fallbacks,
         c.wall.as_secs_f64(),
         shared.workers,
         shared.programs.num_shards(),

@@ -4,7 +4,7 @@
 //! reference architectures, the perfect predictor (one clean epoch),
 //! a bimodal predictor (whose mispredicts segment the run into epochs
 //! the batcher walks with wrong-path replay, peeling lanes that
-//! diverge) and hop-banded pipelined forwarding, seeded and unseeded
+//! diverge) and pipelined forwarding, seeded and unseeded
 //! kernels, and small and full batch widths.
 
 use ultrascalar::{
@@ -29,10 +29,6 @@ fn serial_runs(cfg: &ProcConfig, programs: &[&Program]) -> Vec<RunResult> {
 }
 
 fn assert_identical(label: &str, lane: &RunResult, serial: &RunResult, l: usize) {
-    assert_eq!(
-        lane.stats.packed_fallbacks, 0,
-        "{label}: lane {l} fallback counter"
-    );
     assert_eq!(lane.halted, serial.halted, "{label}: lane {l} halted");
     assert_eq!(lane.cycles, serial.cycles, "{label}: lane {l} cycles");
     assert_eq!(lane.regs, serial.regs, "{label}: lane {l} registers");

@@ -336,3 +336,26 @@ fn alternating_configs_never_group() {
         "config changes break every would-be group"
     );
 }
+
+#[test]
+fn oversized_window_or_alus_is_a_typed_error_not_an_abort() {
+    // Each of these once asked the allocator for gigabytes and aborted
+    // the whole server; the config caps turn them into error lines and
+    // the connection keeps serving.
+    let huge_window = r#"{"program":"halt\n","options":{"window":1000000000}}"#;
+    let huge_alus = r#"{"program":"halt\n","options":{"window":8,"alus":2000000000}}"#;
+    let input = format!("{huge_window}\n{huge_alus}\n{PROG}\n");
+    let mut s = Server::new(8, 4);
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines[0].starts_with("{\"ok\":false,"), "{}", lines[0]);
+    assert!(lines[0].contains("window"), "{}", lines[0]);
+    assert!(lines[1].starts_with("{\"ok\":false,"), "{}", lines[1]);
+    assert!(lines[1].contains("ALU"), "{}", lines[1]);
+    assert!(lines[2].starts_with("{\"ok\":true,"), "{}", lines[2]);
+    assert!(lines[2].contains("\"halted\":true"), "{}", lines[2]);
+    let c = s.counters();
+    assert_eq!((c.errors, c.runs), (2, 1));
+}

@@ -29,31 +29,18 @@
 
 use std::collections::VecDeque;
 
-use crate::config::{ForwardModel, ProcConfig};
+use crate::config::ProcConfig;
 use crate::fetch::{FetchUnit, TraceCache};
 use crate::processor::{Processor, RunResult};
-use crate::station::{
-    mask_intersection, MemPhase, RegMask, StationEntry, MAX_PACKED_REGS, REG_LANE_WORDS,
-};
+use crate::station::{MemPhase, StationEntry};
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::{Instr, Program};
 use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
-use ultrascalar_prefix::packed::{hop_band_count, hop_level, HopBands};
+
 /// Fuel given to the golden interpreter when pre-computing the perfect
 /// fetch path. Far beyond any workload in this repository.
 const ORACLE_FUEL: usize = 50_000_000;
-
-// Lane assignments of the packed all-earlier flag word: the paper's
-// side-by-side 1-bit AND networks (Figure 5, plus the renaming
-// variant) kept as bits of one `u64` and narrowed word-parallel, the
-// software mirror of `ultrascalar_prefix::packed::AndWords` lanes.
-const F_STORES_DONE: u64 = 1 << 0;
-const F_LOADS_DONE: u64 = 1 << 1;
-const F_BRANCHES_DONE: u64 = 1 << 2;
-const F_STORES_RESOLVED: u64 = 1 << 3;
-/// Lanes gating a store issue: every older store, load and branch done.
-const F_STORE_ISSUE: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE;
 
 /// A cluster of up to `C` stations. In hardware every cluster always
 /// has `C` stations; here `entries` holds only the occupied ones (all
@@ -75,89 +62,26 @@ struct Cluster {
 struct ScanScratch {
     /// Most recent preceding writer per architectural register.
     last_writer: Vec<Option<Writer>>,
-    /// Distance-0 readiness base of register `r`'s most recent
-    /// preceding writer (packed-flags fast path): `0` when the register
-    /// reads from the committed file, `completion + 1` for an in-window
-    /// writer, `u64::MAX` for a writer with no scheduled completion. A
-    /// consumer's actual readiness is this base plus the hop-distance
-    /// forwarding cost (zero under single-cycle forwarding). Paired
-    /// with the scan's readiness bands, it lets a blocked station's
-    /// wake-up event be read off directly instead of re-resolving its
-    /// operands.
-    writer_ready_at: Vec<u64>,
-    /// Window ring position of register `r`'s most recent preceding
-    /// writer (packed fast path under pipelined forwarding): feeds the
-    /// per-consumer hop-distance band refinement and the banded
-    /// `ready_at` extraction in the snapshot resolve. Live only where
-    /// the per-cycle has-writer / band lanes are raised, so it needs no
-    /// per-cycle clear.
-    writer_pos: Vec<usize>,
-    /// Hop-distance readiness bands: band `d` holds the registers whose
-    /// most recent preceding writer's value is not yet visible `d`
-    /// H-tree levels away. Exactly one band under single-cycle
-    /// forwarding (the original position-independent unready word);
-    /// `log2(window)+1` nested bands under pipelined forwarding, the
-    /// widest gating the one word-array blocked test. Cleared
-    /// word-parallel each cycle and rebuilt by the scan.
-    bands: HopBands<REG_LANE_WORDS>,
-    /// Packed register snapshot, value lane (packed-values fast path):
-    /// the most recent preceding writer's value per register. Together
-    /// with `writer_seq` and `writer_ready_at` this is the
-    /// struct-of-arrays form of `last_writer` — the engine-side
-    /// counterpart of the bit-sliced value CSPP
-    /// (`ultrascalar_prefix::sliced`), maintained incrementally by the
-    /// scan instead of re-swept per cycle. Entries are live only where
-    /// the per-cycle has-writer lane word has the register's bit
-    /// raised, so the snapshot needs **no** per-cycle clear: the
-    /// word-parallel has-writer reset (four words) replaces the
-    /// `O(num_regs)` scalar-map fill.
-    writer_value: Vec<u32>,
-    /// Packed register snapshot, sequence lane: the writer's `seq`,
-    /// for forwarding-distance accounting.
-    writer_seq: Vec<u64>,
-    /// Resolved state of each older store, in program order (memory
-    /// renaming only).
+    /// Resolved older stores, in program order (memory renaming only).
     store_infos: Vec<StoreInfo>,
     /// Memory requests offered to the arbiter this cycle.
     requests: Vec<MemRequest>,
 }
 
 impl ScanScratch {
-    /// Size the per-register tables for a program's register file and
+    /// Size the last-writer table for a program's register file and
     /// empty everything, reusing retained capacity (allocation-free
     /// whenever the file is no wider than any previously prepared one).
-    fn prepare(&mut self, num_regs: usize, num_bands: usize) {
+    fn prepare(&mut self, num_regs: usize) {
         self.last_writer.clear();
         self.last_writer.resize(num_regs, None);
-        self.writer_ready_at.clear();
-        self.writer_ready_at.resize(num_regs, 0);
-        self.writer_pos.clear();
-        self.writer_pos.resize(num_regs, 0);
-        self.bands.prepare(num_bands);
-        self.writer_value.clear();
-        self.writer_value.resize(num_regs, 0);
-        self.writer_seq.clear();
-        self.writer_seq.resize(num_regs, 0);
         self.store_infos.clear();
         self.requests.clear();
     }
 
-    /// Reset for a new cycle without releasing capacity. Under the
-    /// packed-values snapshot the per-register tables are *not* swept:
-    /// every slot the cycle reads is gated by a has-writer (or
-    /// unready) lane bit that is rebuilt from zero each cycle, so
-    /// stale slots are unreachable and the whole reset is the word-
-    /// parallel lane-word clear in the scan loop.
-    fn reset(&mut self, packed_values: bool) {
-        if !packed_values {
-            self.last_writer.fill(None);
-            self.writer_ready_at.fill(0);
-        }
-        // The readiness bands are rebuilt from zero every cycle — the
-        // word-parallel clear here is the whole reset the banded gate
-        // needs (the base/position tables are read only at raised
-        // lanes).
-        self.bands.clear();
+    /// Reset for a new cycle without releasing capacity.
+    fn reset(&mut self) {
+        self.last_writer.fill(None);
         self.store_infos.clear();
         self.requests.clear();
     }
@@ -224,12 +148,12 @@ impl Source {
     }
 }
 
-/// Resolved state of an older store, tracked during the scan for
-/// memory renaming.
+/// An older store whose address and data are known, tracked during
+/// the scan for memory renaming. Loads consult the list only while
+/// every older store is resolved, so unresolved stores are never
+/// recorded.
 #[derive(Debug, Clone, Copy)]
 struct StoreInfo {
-    /// Are the store's address and data known (operands ready)?
-    resolved: bool,
     addr: usize,
     value: u32,
 }
@@ -305,83 +229,6 @@ impl ReplayLog {
             mem_addr: e.mem_addr,
         });
     }
-}
-
-/// Wake-up collection for the packed-gate fast path: `blocked` is the
-/// non-empty intersection of a station's source mask with the scan's
-/// register-unready lane words. Under single-cycle forwarding a blocked
-/// source becomes usable exactly one cycle after its writer completes,
-/// so the readiness time is read straight off the per-register table
-/// without building a [`Source`] (`u64::MAX` entries — writers with no
-/// scheduled completion — contribute no bound). Only the first `words`
-/// lane words can hold raised bits (the caller's intersection is
-/// truncated to the program's live register prefix).
-///
-/// Returns the **max** of the blocking sources' known readiness times
-/// (0 when none is scheduled): the station issues only when *all*
-/// sources are ready, so the max of the known ones is a lower bound on
-/// its issue cycle — both the wake-up event the cycle skip may jump to
-/// and the bound cached in [`StationEntry::not_before`].
-#[inline(always)]
-fn packed_wakeups(blocked: &RegMask, words: usize, ready_at: &[u64], t: u64) -> u64 {
-    let mut bound = 0u64;
-    for (j, &word) in blocked.iter().take(words).enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let r = j * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            let ra = ready_at[r];
-            if ra > t && ra != u64::MAX {
-                bound = bound.max(ra);
-            }
-        }
-    }
-    bound
-}
-
-/// Per-lane refinement of a top-band hit under pipelined forwarding:
-/// for each raised source lane, test the band at the *actual*
-/// producer→consumer hop distance (one bit probe; the bands nest, so
-/// the top-band intersection over-approximates). Returns whether any
-/// source truly blocks at its distance, plus the **max** of the truly
-/// blocking sources' known readiness times (0 when none is scheduled)
-/// — the issue-cycle lower bound cached in
-/// [`StationEntry::not_before`]. A hit that refines to "ready at every
-/// actual distance" lets the caller fall through to issue.
-// Hot-path helper: the arguments are disjoint borrows of scan scratch
-// that a bundling struct would force into one, fighting the borrow
-// checker at every call site.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn banded_blocked(
-    blocked: &RegMask,
-    words: usize,
-    bands: &HopBands<REG_LANE_WORDS>,
-    ready_at: &[u64],
-    writer_pos: &[usize],
-    pos: usize,
-    per_hop: u64,
-    t: u64,
-) -> (bool, u64) {
-    let mut any = false;
-    let mut bound = 0u64;
-    for (j, &word) in blocked.iter().take(words).enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let r = j * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            let lvl = hop_level(writer_pos[r], pos);
-            if !bands.test(lvl, r) {
-                continue; // ready at this consumer's distance
-            }
-            any = true;
-            let ra = ready_at[r].saturating_add(ForwardModel::extra_at(per_hop, lvl));
-            if ra > t && ra != u64::MAX {
-                bound = bound.max(ra);
-            }
-        }
-    }
-    (any, bound)
 }
 
 /// The unified Ultrascalar processor model.
@@ -481,66 +328,12 @@ impl Processor for Ultrascalar {
 
     fn run_reusing(&mut self, program: &Program, out: &mut RunResult) {
         program.validate().expect("program must validate");
-        // Pin the portable SWAR substrate for the whole run when the
-        // config asks for it (RAII: dispatch is restored on every exit
-        // path). The toggle is process-global, but dispatch never
-        // changes an observable result — concurrent runs under mixed
-        // settings only vary which bit-identical kernel executes.
-        let _swar_guard = self
-            .cfg
-            .force_swar
-            .then(ultrascalar_prefix::ForceSwarGuard::force);
         let n = self.cfg.window;
         let c = self.cfg.cluster;
         let k = n / c;
         let lat = self.cfg.latency;
         let fwd = self.cfg.forward;
         let renaming = self.cfg.memory_renaming;
-        // The packed readiness fast path covers both forwarding
-        // models: single-cycle forwarding keeps one reader-independent
-        // unready word, pipelined forwarding keeps one nested band per
-        // H-tree hop level so distance-dependent readiness is still a
-        // word-array test. The lanes live in `REG_LANE_WORDS` words,
-        // covering every register file the ISA can express
-        // (`num_regs <= 256`); the width check — the only remaining
-        // fallback — is a safeguard against the ISA widening without
-        // this path.
-        let packed_ok = program.num_regs <= MAX_PACKED_REGS;
-        // Shape gate: the packed path only runs where the step_ab A/B
-        // data says it wins (see `ProcConfig::packed_shape_wins`);
-        // `packed_override` punches through for A/B harnesses and
-        // differential tests. The decision is recorded in
-        // `ProcStats::packed_shape_gated` below.
-        let shape_ok = self.cfg.packed_override || self.cfg.packed_shape_wins();
-        let packed = self.cfg.packed_flags && packed_ok && shape_ok;
-        // Value forwarding rides on the flag networks: it needs the
-        // unready-mask gate (so blocked stations never read the
-        // snapshot) and the readiness table the gate maintains.
-        let packed_vals = packed && self.cfg.packed_values;
-        // Live prefix of the lane words for this program's register
-        // file: the mask tests never touch words no register can reach.
-        let lane_words = program.num_regs.div_ceil(64).min(REG_LANE_WORDS);
-        // Pipelined forwarding inside the packed path: the per-hop
-        // cost, and the number of hop-distance readiness bands — one
-        // under single-cycle forwarding (the plain unready word),
-        // `log2(window)+1` under pipelined forwarding (window ring
-        // positions span `0..n`).
-        let pipelined = match fwd {
-            ForwardModel::SingleCycle => None,
-            ForwardModel::Pipelined { per_hop } => Some(per_hop),
-        };
-        let num_bands = if pipelined.is_some() {
-            hop_band_count(n)
-        } else {
-            1
-        };
-        // Loop invariants of the per-writer band update: the per-level
-        // readiness step and the total distance-0→top-band extra. A
-        // writer whose base horizon plus `top_extra` has passed is
-        // ready at *every* distance and usually needs no column write
-        // at all (the bands start each scan pass cleared).
-        let hop_step = pipelined.map_or(0, |ph| ph.saturating_mul(2));
-        let top_extra = hop_step.saturating_mul(num_bands as u64 - 1);
 
         // Rewind the retained working state in place. The engine's
         // configuration is fixed at construction, so each component's
@@ -593,19 +386,6 @@ impl Processor for Ultrascalar {
         stats.reset();
         timings.clear();
         committed_regs.clone_from(&program.init_regs);
-        if self.cfg.packed_flags && !packed_ok {
-            // Visible diagnostic instead of a silent downgrade: the
-            // run asked for the packed fast path but the gate kept the
-            // scalar scan (a register file wider than the packed lane
-            // words — pipelined forwarding now rides the banded path).
-            stats.packed_fallbacks += 1;
-        }
-        if self.cfg.packed_flags && packed_ok && !shape_ok {
-            // Deliberate policy decision, distinct from the width
-            // fallback above: this shape measures as a net loss for
-            // the packed path, so the scalar scan runs instead.
-            stats.packed_shape_gated += 1;
-        }
         let mut halted = false;
         // Shared-ALU pool: first cycle each unit is free again.
         alu_free_at.clear();
@@ -692,14 +472,8 @@ impl Processor for Ultrascalar {
         );
 
         // Per-cycle scan buffers, reused across the whole run.
-        scan.prepare(program.num_regs, num_bands);
+        scan.prepare(program.num_regs);
 
-        // Commit epoch for the per-entry `not_before` cache: cached
-        // issue bounds are conditioned on producers forwarding
-        // in-window, and an in-order commit publishes the committed
-        // register file (readable from commit+2, possibly before the
-        // forwarding horizon), so every commit invalidates all bounds.
-        let mut commit_epoch: u64 = 1;
         let mut t: u64 = 0;
         while t < self.cfg.max_cycles {
             if window.is_empty() && fetch.exhausted() {
@@ -721,36 +495,17 @@ impl Processor for Ultrascalar {
             let alu_stalls_before = stats.alu_stalls;
 
             // ---- Phase A: program-order scan; issue & collect memory
-            // requests. Prefix flags mirror the CSPP circuits, computed
-            // on start-of-cycle state; the four all-earlier AND
-            // networks live side by side as lanes of one packed word,
-            // narrowed in place as the scan passes each station.
-            let mut flags: u64 = F_STORES_DONE | F_LOADS_DONE | F_BRANCHES_DONE | F_STORES_RESOLVED;
-            // Register-readiness band words (`scan.bands`): band lane
-            // `r` is raised while the most recent preceding writer of
-            // register `r` has not produced a value usable at that hop
-            // distance this cycle — the software form of the
-            // per-register ready-bit CSPP lanes (paper Figure 4), 64
-            // registers per word across `REG_LANE_WORDS` words, so a
-            // blocked reader is detected by one word-array mask test
-            // against the widest band (plus, under pipelined
-            // forwarding, a per-lane probe of the band at the actual
-            // hop distance).
-            //
-            // Has-writer lane words: lane `r` is raised once the scan
-            // has passed a writer of register `r` this cycle. Rebuilt
-            // from zero every cycle, this is the only per-cycle reset
-            // the packed-values snapshot needs (the value/seq/readiness
-            // tables are read exclusively at raised lanes).
-            let mut has_writer: RegMask = [0; REG_LANE_WORDS];
-            scan.reset(packed_vals);
+            // requests. Prefix flags mirror the CSPP circuits (the
+            // all-earlier AND networks of Figure 5, plus the renaming
+            // variant), computed on start-of-cycle state and narrowed
+            // as the scan passes each station.
+            let mut stores_done = true;
+            let mut loads_done = true;
+            let mut branches_done = true;
+            let mut stores_resolved = true;
+            scan.reset();
             let ScanScratch {
                 last_writer,
-                writer_ready_at,
-                writer_pos,
-                bands,
-                writer_value,
-                writer_seq,
                 store_infos,
                 requests,
             } = &mut *scan;
@@ -766,42 +521,12 @@ impl Processor for Ultrascalar {
                     let seq = entry.seq;
                     let resolve = |r: ultrascalar_isa::Reg| -> Source {
                         let i = r.index();
-                        if packed_vals {
-                            // Snapshot resolve: a lane extraction from
-                            // the packed register snapshot instead of a
-                            // per-register match. Readiness comes off
-                            // the same base table the band gate
-                            // maintains; pipelined forwarding layers
-                            // the consumer's hop-distance cost on top
-                            // (the banded `ready_at` extraction).
-                            return if has_writer[i / 64] >> (i % 64) & 1 == 1 {
-                                let base = writer_ready_at[i];
-                                let ra = match pipelined {
-                                    None => base,
-                                    Some(ph) => base.saturating_add(ForwardModel::extra_at(
-                                        ph,
-                                        hop_level(writer_pos[i], pos),
-                                    )),
-                                };
-                                Source::Forwarded {
-                                    value: writer_value[i],
-                                    ready: ra <= t,
-                                    ready_at: (ra != u64::MAX).then_some(ra),
-                                    dist: seq - writer_seq[i],
-                                }
-                            } else {
-                                Source::Committed {
-                                    value: committed_regs[i],
-                                }
-                            };
-                        }
                         match last_writer[i] {
                             Some(w) => {
                                 // `done + 1` first, then the saturating
-                                // hop cost — the same composition as
-                                // the packed base table, so the two
-                                // resolve paths agree even where
-                                // `extra` saturates.
+                                // hop cost, so a huge `per_hop` pins
+                                // readiness at "never" instead of
+                                // wrapping.
                                 let ready_at = w
                                     .completed_at
                                     .map(|done| (done + 1).saturating_add(fwd.extra(w.pos, pos)));
@@ -824,244 +549,188 @@ impl Processor for Ultrascalar {
                     // the first attempt.
                     let first_attempt = entry.mem == MemPhase::None;
                     let mut issued_alu_class = false;
-                    // Cached issue bound: while no commit has
-                    // intervened and the bound is still in the future,
-                    // the entry provably cannot issue — skip the gate
-                    // and operand resolution outright and keep the
-                    // bound as this entry's wake-up event.
-                    let cached_blocked =
-                        packed && entry.nb_epoch == commit_epoch && entry.not_before > t;
-                    if cached_blocked {
-                        next_source_ready = next_source_ready.min(entry.not_before);
-                    }
-                    if eligible && !cached_blocked {
-                        // Packed fast gate: a station is blocked only if
-                        // its decode-time source mask intersects the
-                        // widest readiness band — one word-array test
-                        // (vector on AVX2 hosts) replaces the full
-                        // operand resolution, which then runs only for
-                        // stations that can actually issue. Under
-                        // pipelined forwarding a top-band hit is
-                        // refined per raised lane against the band at
-                        // the actual producer→consumer hop distance
-                        // (the bands nest, so a top-band miss is an
-                        // exact all-distances-ready answer).
-                        let gate_blocked = packed && bands.intersects(&entry.src_mask) && {
-                            let blocked =
-                                mask_intersection(bands.top(), &entry.src_mask, lane_words);
-                            let (truly, bound) = match pipelined {
-                                None => (
-                                    true,
-                                    packed_wakeups(&blocked, lane_words, writer_ready_at, t),
-                                ),
-                                Some(per_hop) => banded_blocked(
-                                    &blocked,
-                                    lane_words,
-                                    bands,
-                                    writer_ready_at,
-                                    writer_pos,
-                                    pos,
-                                    per_hop,
-                                    t,
-                                ),
+                    if eligible {
+                        let srcs = entry.instr.reads();
+                        let s0 = srcs[0].map(&resolve);
+                        let s1 = srcs[1].map(&resolve);
+                        let ready = s0.as_ref().is_none_or(Source::ready)
+                            && s1.as_ref().is_none_or(Source::ready);
+                        if ready {
+                            let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s {
+                                Some(Source::Forwarded { dist, .. }) => stats.record_forward(*dist),
+                                Some(Source::Committed { .. }) => stats.regfile_reads += 1,
+                                None => {}
                             };
-                            if truly && bound > t {
-                                next_source_ready = next_source_ready.min(bound);
-                                let e = &mut window[ci].entries[ei];
-                                e.not_before = bound;
-                                e.nb_epoch = commit_epoch;
-                            }
-                            truly
-                        };
-                        if !gate_blocked {
-                            let entry = &window[ci].entries[ei];
-                            let srcs = entry.instr.reads();
-                            let s0 = srcs[0].map(&resolve);
-                            let s1 = srcs[1].map(&resolve);
-                            let ready = s0.as_ref().is_none_or(Source::ready)
-                                && s1.as_ref().is_none_or(Source::ready);
-                            if ready {
-                                let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s
-                                {
-                                    Some(Source::Forwarded { dist, .. }) => {
-                                        stats.record_forward(*dist)
-                                    }
-                                    Some(Source::Committed { .. }) => stats.regfile_reads += 1,
-                                    None => {}
-                                };
-                                let instr = entry.instr;
-                                match instr {
-                                    Instr::Alu { op, .. } => {
-                                        if self.cfg.alus.is_none() || free_alus > 0 {
-                                            if self.cfg.alus.is_some() {
-                                                free_alus -= 1;
-                                                issued_alu_class = true;
-                                            }
-                                            let v = op.apply(
-                                                s0.as_ref().expect("alu rs1").value(),
-                                                s1.as_ref().expect("alu rs2").value(),
-                                            );
-                                            let e = &mut window[ci].entries[ei];
-                                            e.issued_at = Some(t);
-                                            e.completed_at = Some(t + lat.of(&instr) - 1);
-                                            e.result = Some(v);
-                                            e.actual_next = Some(e.pc + 1);
-                                            record_fw(stats, &s0);
-                                            record_fw(stats, &s1);
-                                        } else {
-                                            stats.alu_stalls += 1;
+                            let instr = entry.instr;
+                            match instr {
+                                Instr::Alu { op, .. } => {
+                                    if self.cfg.alus.is_none() || free_alus > 0 {
+                                        if self.cfg.alus.is_some() {
+                                            free_alus -= 1;
+                                            issued_alu_class = true;
                                         }
-                                    }
-                                    Instr::AluImm { op, imm, .. } => {
-                                        if self.cfg.alus.is_none() || free_alus > 0 {
-                                            if self.cfg.alus.is_some() {
-                                                free_alus -= 1;
-                                                issued_alu_class = true;
-                                            }
-                                            let v = op.apply(
-                                                s0.as_ref().expect("alui rs1").value(),
-                                                imm as u32,
-                                            );
-                                            let e = &mut window[ci].entries[ei];
-                                            e.issued_at = Some(t);
-                                            e.completed_at = Some(t + lat.of(&instr) - 1);
-                                            e.result = Some(v);
-                                            e.actual_next = Some(e.pc + 1);
-                                            record_fw(stats, &s0);
-                                        } else {
-                                            stats.alu_stalls += 1;
-                                        }
-                                    }
-                                    Instr::LoadImm { imm, .. } => {
+                                        let v = op.apply(
+                                            s0.as_ref().expect("alu rs1").value(),
+                                            s1.as_ref().expect("alu rs2").value(),
+                                        );
                                         let e = &mut window[ci].entries[ei];
                                         e.issued_at = Some(t);
                                         e.completed_at = Some(t + lat.of(&instr) - 1);
-                                        e.result = Some(imm as u32);
+                                        e.result = Some(v);
                                         e.actual_next = Some(e.pc + 1);
-                                    }
-                                    Instr::Branch { cond, target, .. } => {
-                                        let a = s0.as_ref().expect("branch rs1").value();
-                                        let b = s1.as_ref().expect("branch rs2").value();
-                                        let taken = cond.eval(a, b);
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t + lat.of(&instr) - 1);
-                                        e.taken = Some(taken);
-                                        e.actual_next =
-                                            Some(if taken { target as usize } else { e.pc + 1 });
                                         record_fw(stats, &s0);
                                         record_fw(stats, &s1);
+                                    } else {
+                                        stats.alu_stalls += 1;
                                     }
-                                    Instr::Jump { target } => {
+                                }
+                                Instr::AluImm { op, imm, .. } => {
+                                    if self.cfg.alus.is_none() || free_alus > 0 {
+                                        if self.cfg.alus.is_some() {
+                                            free_alus -= 1;
+                                            issued_alu_class = true;
+                                        }
+                                        let v = op.apply(
+                                            s0.as_ref().expect("alui rs1").value(),
+                                            imm as u32,
+                                        );
                                         let e = &mut window[ci].entries[ei];
                                         e.issued_at = Some(t);
-                                        e.completed_at = Some(t);
-                                        e.actual_next = Some(target as usize);
-                                    }
-                                    Instr::Halt | Instr::Nop => {
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t);
+                                        e.completed_at = Some(t + lat.of(&instr) - 1);
+                                        e.result = Some(v);
                                         e.actual_next = Some(e.pc + 1);
+                                        record_fw(stats, &s0);
+                                    } else {
+                                        stats.alu_stalls += 1;
                                     }
-                                    Instr::Load { offset, .. } => {
-                                        let base = s0.as_ref().expect("load base").value();
-                                        let addr = (base.wrapping_add(offset as u32) as usize)
-                                            % mem.words();
-                                        if renaming {
-                                            // Memory renaming: once every
-                                            // older store's address is
-                                            // known, either forward from
-                                            // the nearest match or go to
-                                            // memory immediately.
-                                            if flags & F_STORES_RESOLVED != 0 {
-                                                let hit = store_infos
-                                                    .iter()
-                                                    .rev()
-                                                    .find(|s| s.addr == addr);
-                                                if let Some(s) = hit {
-                                                    let v = s.value;
-                                                    let e = &mut window[ci].entries[ei];
-                                                    e.issued_at = Some(t);
-                                                    e.completed_at = Some(t);
-                                                    e.result = Some(v);
-                                                    e.actual_next = Some(e.pc + 1);
-                                                    e.mem_addr = Some(addr);
-                                                    stats.store_forwards += 1;
+                                }
+                                Instr::LoadImm { imm, .. } => {
+                                    let e = &mut window[ci].entries[ei];
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t + lat.of(&instr) - 1);
+                                    e.result = Some(imm as u32);
+                                    e.actual_next = Some(e.pc + 1);
+                                }
+                                Instr::Branch { cond, target, .. } => {
+                                    let a = s0.as_ref().expect("branch rs1").value();
+                                    let b = s1.as_ref().expect("branch rs2").value();
+                                    let taken = cond.eval(a, b);
+                                    let e = &mut window[ci].entries[ei];
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t + lat.of(&instr) - 1);
+                                    e.taken = Some(taken);
+                                    e.actual_next =
+                                        Some(if taken { target as usize } else { e.pc + 1 });
+                                    record_fw(stats, &s0);
+                                    record_fw(stats, &s1);
+                                }
+                                Instr::Jump { target } => {
+                                    let e = &mut window[ci].entries[ei];
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t);
+                                    e.actual_next = Some(target as usize);
+                                }
+                                Instr::Halt | Instr::Nop => {
+                                    let e = &mut window[ci].entries[ei];
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t);
+                                    e.actual_next = Some(e.pc + 1);
+                                }
+                                Instr::Load { offset, .. } => {
+                                    let base = s0.as_ref().expect("load base").value();
+                                    let addr =
+                                        (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                    if renaming {
+                                        // Memory renaming: once every
+                                        // older store's address is
+                                        // known, either forward from
+                                        // the nearest match or go to
+                                        // memory immediately.
+                                        if stores_resolved {
+                                            let hit =
+                                                store_infos.iter().rev().find(|s| s.addr == addr);
+                                            if let Some(s) = hit {
+                                                let v = s.value;
+                                                let e = &mut window[ci].entries[ei];
+                                                e.issued_at = Some(t);
+                                                e.completed_at = Some(t);
+                                                e.result = Some(v);
+                                                e.actual_next = Some(e.pc + 1);
+                                                e.mem_addr = Some(addr);
+                                                stats.store_forwards += 1;
+                                                record_fw(stats, &s0);
+                                            } else {
+                                                requests.push(MemRequest {
+                                                    id: seq,
+                                                    leaf: pos,
+                                                    addr,
+                                                    kind: ReqKind::Load,
+                                                });
+                                                let e = &mut window[ci].entries[ei];
+                                                e.mem = MemPhase::Requesting;
+                                                e.mem_addr = Some(addr);
+                                                if first_attempt {
                                                     record_fw(stats, &s0);
-                                                } else {
-                                                    requests.push(MemRequest {
-                                                        id: seq,
-                                                        leaf: pos,
-                                                        addr,
-                                                        kind: ReqKind::Load,
-                                                    });
-                                                    let e = &mut window[ci].entries[ei];
-                                                    e.mem = MemPhase::Requesting;
-                                                    e.mem_addr = Some(addr);
-                                                    if first_attempt {
-                                                        record_fw(stats, &s0);
-                                                    }
                                                 }
                                             }
-                                        } else if flags & F_STORES_DONE != 0 {
-                                            requests.push(MemRequest {
-                                                id: seq,
-                                                leaf: pos,
-                                                addr,
-                                                kind: ReqKind::Load,
-                                            });
-                                            let e = &mut window[ci].entries[ei];
-                                            e.mem = MemPhase::Requesting;
-                                            e.mem_addr = Some(addr);
-                                            if first_attempt {
-                                                record_fw(stats, &s0);
-                                            }
                                         }
-                                    }
-                                    Instr::Store { offset, .. } => {
-                                        if flags & F_STORE_ISSUE == F_STORE_ISSUE {
-                                            let base = s0.as_ref().expect("store base").value();
-                                            let val = s1.as_ref().expect("store src").value();
-                                            let addr = (base.wrapping_add(offset as u32) as usize)
-                                                % mem.words();
-                                            requests.push(MemRequest {
-                                                id: seq,
-                                                leaf: pos,
-                                                addr,
-                                                kind: ReqKind::Store(val),
-                                            });
-                                            let e = &mut window[ci].entries[ei];
-                                            e.mem = MemPhase::Requesting;
-                                            e.mem_addr = Some(addr);
-                                            if first_attempt {
-                                                record_fw(stats, &s0);
-                                                record_fw(stats, &s1);
-                                            }
+                                    } else if stores_done {
+                                        requests.push(MemRequest {
+                                            id: seq,
+                                            leaf: pos,
+                                            addr,
+                                            kind: ReqKind::Load,
+                                        });
+                                        let e = &mut window[ci].entries[ei];
+                                        e.mem = MemPhase::Requesting;
+                                        e.mem_addr = Some(addr);
+                                        if first_attempt {
+                                            record_fw(stats, &s0);
                                         }
                                     }
                                 }
-                            } else {
-                                // Blocked on operands. Each pending
-                                // forwarded source whose producer already
-                                // has a scheduled completion becomes usable
-                                // at a known future cycle — a wake-up event
-                                // for the cycle skip. (Sources whose
-                                // producers have not even issued are
-                                // covered transitively: the oldest blocked
-                                // entry in the window always reduces to an
-                                // issued producer, an in-flight memory op,
-                                // or a fetch stall.)
-                                for s in [&s0, &s1] {
-                                    if let Some(Source::Forwarded {
-                                        ready: false,
-                                        ready_at: Some(ra),
-                                        ..
-                                    }) = s
-                                    {
-                                        if *ra > t {
-                                            next_source_ready = next_source_ready.min(*ra);
+                                Instr::Store { offset, .. } => {
+                                    if stores_done && loads_done && branches_done {
+                                        let base = s0.as_ref().expect("store base").value();
+                                        let val = s1.as_ref().expect("store src").value();
+                                        let addr = (base.wrapping_add(offset as u32) as usize)
+                                            % mem.words();
+                                        requests.push(MemRequest {
+                                            id: seq,
+                                            leaf: pos,
+                                            addr,
+                                            kind: ReqKind::Store(val),
+                                        });
+                                        let e = &mut window[ci].entries[ei];
+                                        e.mem = MemPhase::Requesting;
+                                        e.mem_addr = Some(addr);
+                                        if first_attempt {
+                                            record_fw(stats, &s0);
+                                            record_fw(stats, &s1);
                                         }
+                                    }
+                                }
+                            }
+                        } else {
+                            // Blocked on operands. Each pending
+                            // forwarded source whose producer already
+                            // has a scheduled completion becomes usable
+                            // at a known future cycle — a wake-up event
+                            // for the cycle skip. (Sources whose
+                            // producers have not even issued are
+                            // covered transitively: the oldest blocked
+                            // entry in the window always reduces to an
+                            // issued producer, an in-flight memory op,
+                            // or a fetch stall.)
+                            for s in [&s0, &s1] {
+                                if let Some(Source::Forwarded {
+                                    ready: false,
+                                    ready_at: Some(ra),
+                                    ..
+                                }) = s
+                                {
+                                    if *ra > t {
+                                        next_source_ready = next_source_ready.min(*ra);
                                     }
                                 }
                             }
@@ -1079,115 +748,52 @@ impl Processor for Ultrascalar {
                         _ => {}
                     }
                     if entry.instr.is_load() && !done {
-                        flags &= !F_LOADS_DONE;
+                        loads_done = false;
                     }
                     let mut resolved_store_addr = None;
                     if entry.instr.is_store() {
                         if !done {
-                            flags &= !F_STORES_DONE;
+                            stores_done = false;
                         }
                         if renaming {
-                            // Packed gate, same shape as the issue
-                            // path: an unresolved store gates every
-                            // younger load under renaming, and its
-                            // operands' readiness times are wake-up
-                            // events. The issue gate above already
-                            // cached this entry's bound when it found
-                            // it blocked this cycle, so a hot cache
-                            // answers without touching the bands.
-                            let cached_blocked =
-                                packed && entry.nb_epoch == commit_epoch && entry.not_before > t;
-                            if cached_blocked {
-                                next_source_ready = next_source_ready.min(entry.not_before);
-                            }
-                            let gate_blocked = cached_blocked
-                                || (packed && bands.intersects(&entry.src_mask) && {
-                                    let blocked =
-                                        mask_intersection(bands.top(), &entry.src_mask, lane_words);
-                                    let (truly, bound) = match pipelined {
-                                        None => (
-                                            true,
-                                            packed_wakeups(
-                                                &blocked,
-                                                lane_words,
-                                                writer_ready_at,
-                                                t,
-                                            ),
-                                        ),
-                                        Some(per_hop) => banded_blocked(
-                                            &blocked,
-                                            lane_words,
-                                            bands,
-                                            writer_ready_at,
-                                            writer_pos,
-                                            pos,
-                                            per_hop,
-                                            t,
-                                        ),
-                                    };
-                                    if truly && bound > t {
-                                        next_source_ready = next_source_ready.min(bound);
-                                    }
-                                    truly
-                                });
-                            if gate_blocked {
-                                flags &= !F_STORES_RESOLVED;
+                            // Recompute the store's operands against the
+                            // *current* scan state (values are stable
+                            // once their producers are ready).
+                            let srcs = entry.instr.reads();
+                            let s0 = srcs[0].map(&resolve);
+                            let s1 = srcs[1].map(&resolve);
+                            let resolved = s0.as_ref().is_none_or(Source::ready)
+                                && s1.as_ref().is_none_or(Source::ready);
+                            if resolved {
+                                let base = s0.as_ref().expect("store base").value();
+                                let offset = match entry.instr {
+                                    Instr::Store { offset, .. } => offset,
+                                    _ => unreachable!("store arm"),
+                                };
+                                let addr =
+                                    (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                resolved_store_addr = Some(addr);
                                 store_infos.push(StoreInfo {
-                                    resolved: false,
-                                    addr: 0,
-                                    value: 0,
+                                    addr,
+                                    value: s1.as_ref().expect("store src").value(),
                                 });
                             } else {
-                                // Recompute the store's operands against
-                                // the *current* scan state (values are
-                                // stable once their producers are ready).
-                                let srcs = entry.instr.reads();
-                                let s0 = srcs[0].map(&resolve);
-                                let s1 = srcs[1].map(&resolve);
-                                let resolved = s0.as_ref().is_none_or(Source::ready)
-                                    && s1.as_ref().is_none_or(Source::ready);
-                                if !resolved {
-                                    // An unresolved store gates every
-                                    // younger load under renaming; its
-                                    // operands' readiness times are wake-up
-                                    // events too.
-                                    for s in [&s0, &s1] {
-                                        if let Some(Source::Forwarded {
-                                            ready: false,
-                                            ready_at: Some(ra),
-                                            ..
-                                        }) = s
-                                        {
-                                            if *ra > t {
-                                                next_source_ready = next_source_ready.min(*ra);
-                                            }
+                                // An unresolved store gates every younger
+                                // load under renaming; its operands'
+                                // readiness times are wake-up events too.
+                                stores_resolved = false;
+                                for s in [&s0, &s1] {
+                                    if let Some(Source::Forwarded {
+                                        ready: false,
+                                        ready_at: Some(ra),
+                                        ..
+                                    }) = s
+                                    {
+                                        if *ra > t {
+                                            next_source_ready = next_source_ready.min(*ra);
                                         }
                                     }
                                 }
-                                let info = if resolved {
-                                    let base = s0.as_ref().expect("store base").value();
-                                    let offset = match entry.instr {
-                                        Instr::Store { offset, .. } => offset,
-                                        _ => unreachable!("store arm"),
-                                    };
-                                    StoreInfo {
-                                        resolved: true,
-                                        addr: (base.wrapping_add(offset as u32) as usize)
-                                            % mem.words(),
-                                        value: s1.as_ref().expect("store src").value(),
-                                    }
-                                } else {
-                                    StoreInfo {
-                                        resolved: false,
-                                        addr: 0,
-                                        value: 0,
-                                    }
-                                };
-                                if !info.resolved {
-                                    flags &= !F_STORES_RESOLVED;
-                                }
-                                resolved_store_addr = info.resolved.then_some(info.addr);
-                                store_infos.push(info);
                             }
                         }
                     }
@@ -1200,58 +806,15 @@ impl Processor for Ultrascalar {
                     }
                     let entry = &window[ci].entries[ei];
                     if entry.instr.is_branch() && !done {
-                        flags &= !F_BRANCHES_DONE;
+                        branches_done = false;
                     }
                     if let Some(rd) = entry.instr.writes() {
-                        if packed_vals {
-                            // Update the packed snapshot lanes in place
-                            // of the scalar map: value, seq and the
-                            // has-writer lane bit (readiness joins
-                            // below, shared with the unready gate).
-                            let i = rd.index();
-                            writer_value[i] = entry.result.unwrap_or(0);
-                            writer_seq[i] = entry.seq;
-                            has_writer[i / 64] |= 1u64 << (i % 64);
-                        } else {
-                            last_writer[rd.index()] = Some(Writer {
-                                seq: entry.seq,
-                                completed_at: entry.completed_at,
-                                value: entry.result.unwrap_or(0),
-                                pos,
-                            });
-                        }
-                        if packed {
-                            // Per-register readiness: the distance-0
-                            // base is usable one cycle after
-                            // completion; hop-distance costs are
-                            // layered on per band. An entry issuing
-                            // *this* cycle has `done + 1 > t`, so
-                            // same-cycle readers correctly see it
-                            // unready.
-                            let i = rd.index();
-                            let base = entry.completed_at.map_or(u64::MAX, |done| done + 1);
-                            writer_ready_at[i] = base;
-                            match pipelined {
-                                None => {
-                                    // One band: the plain unready bit.
-                                    bands.assign_lane(i, (base <= t) as usize);
-                                }
-                                Some(_) => {
-                                    writer_pos[i] = pos;
-                                    if base.saturating_add(top_extra) <= t {
-                                        // Ready at every distance —
-                                        // the unchanged-column early
-                                        // exit makes this free unless
-                                        // an earlier same-register
-                                        // writer raised the lane this
-                                        // pass.
-                                        bands.assign_lane(i, num_bands);
-                                    } else {
-                                        bands.assign_lane_horizon(i, base, hop_step, t);
-                                    }
-                                }
-                            }
-                        }
+                        last_writer[rd.index()] = Some(Writer {
+                            seq: entry.seq,
+                            completed_at: entry.completed_at,
+                            value: entry.result.unwrap_or(0),
+                            pos,
+                        });
                     }
                     if issued_alu_class {
                         // Occupy a shared ALU through the completion
@@ -1404,11 +967,6 @@ impl Processor for Ultrascalar {
                 if halted {
                     break;
                 }
-            }
-            if committed_any {
-                // Committed registers became readable: every cached
-                // issue bound is now suspect (see `commit_epoch`).
-                commit_epoch += 1;
             }
             if halted {
                 t += 1;

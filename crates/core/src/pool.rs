@@ -241,8 +241,6 @@ pub fn config_shard_hash(cfg: &ProcConfig) -> u64 {
     h = mix(h, cfg.alus.map_or(0, |k| k as u64 + 1));
     h = mix(h, cfg.memory_renaming as u64);
     h = mix(h, cfg.fetch_width.map_or(0, |f| f as u64 + 1));
-    h = mix(h, cfg.force_swar as u64);
-    h = mix(h, cfg.packed_override as u64);
     // Mix the variant discriminant in multiplicatively instead of the
     // old `per_hop + 1`, which overflowed (a debug-build panic) on
     // `per_hop == u64::MAX`. Forcing the low bit keeps every pipelined

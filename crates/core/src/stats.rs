@@ -36,28 +36,6 @@ pub struct ProcStats {
     /// Issue opportunities lost to shared-ALU contention: ready
     /// instructions that could not start because no ALU was free.
     pub alu_stalls: u64,
-    /// Runs in which `ProcConfig::packed_flags` was requested but the
-    /// engine's gate kept the scalar scan — since pipelined forwarding
-    /// rides the hop-banded readiness words, the only remaining cause
-    /// is a register file wider than the packed lane words
-    /// (`num_regs > 256`). The packed-values snapshot rides on the
-    /// same gate, so a counted fallback also means the value-snapshot
-    /// resolve did not run.
-    /// Zero whenever the packed fast path actually ran — a silent
-    /// downgrade would otherwise be invisible in sweeps over the very
-    /// regimes the packed paths exist for. `usim serve` aggregates
-    /// this counter across requests in its `{"cmd":"stats"}` report.
-    pub packed_fallbacks: u64,
-    /// Runs in which the packed fast path was requested and would fit
-    /// the lane words, but the engine's *shape gate* chose the scalar
-    /// scan because the configuration shape measures as a net loss for
-    /// the packed path (see `ProcConfig::packed_shape_wins`; pipelined
-    /// forwarding, latency-bearing memory or a batch-refill `C = n`
-    /// window). Distinct from `packed_fallbacks`: that counter marks a
-    /// capability fallback, this one a deliberate, measured policy
-    /// decision. `ProcConfig::packed_override` forces the packed path
-    /// and keeps this at zero.
-    pub packed_shape_gated: u64,
     /// Memory-system counters.
     pub mem: MemStats,
 }
@@ -87,8 +65,6 @@ impl Clone for ProcStats {
             issue_hist,
             store_forwards,
             alu_stalls,
-            packed_fallbacks,
-            packed_shape_gated,
             mem,
         } = self;
         *cycles = source.cycles;
@@ -102,8 +78,6 @@ impl Clone for ProcStats {
         issue_hist.clone_from(&source.issue_hist);
         *store_forwards = source.store_forwards;
         *alu_stalls = source.alu_stalls;
-        *packed_fallbacks = source.packed_fallbacks;
-        *packed_shape_gated = source.packed_shape_gated;
         *mem = source.mem;
     }
 }
@@ -127,8 +101,6 @@ impl ProcStats {
             issue_hist,
             store_forwards,
             alu_stalls,
-            packed_fallbacks,
-            packed_shape_gated,
             mem,
         } = self;
         *cycles = 0;
@@ -142,8 +114,6 @@ impl ProcStats {
         issue_hist.clear();
         *store_forwards = 0;
         *alu_stalls = 0;
-        *packed_fallbacks = 0;
-        *packed_shape_gated = 0;
         *mem = MemStats::default();
     }
 

@@ -7,8 +7,8 @@
 //! Cross-process comparisons on a shared host are dominated by noise
 //! (identical-code rows drift by ±25% between runs), so this harness
 //! interleaves the two dispatch modes round-robin inside one process
-//! and reports the median ratio across rounds — the same protocol the
-//! `step_ab` engine benchmark uses.
+//! and reports the median ratio across rounds (the interleaved-round
+//! protocol `lanes_ab` also uses).
 
 use std::time::Instant;
 use ultrascalar_prefix::lanes::{self, LaneValue};

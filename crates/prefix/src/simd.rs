@@ -114,8 +114,8 @@ pub fn set_force_swar(force: bool) {
 
 /// RAII pin of the force-SWAR override: [`ForceSwarGuard::force`]
 /// pins the portable path, dropping the guard restores whatever
-/// override was in effect before. Used by the engine's per-run
-/// `force_swar` config knob and by the A/B benches.
+/// override was in effect before. Used by the A/B benches and the
+/// native-vs-forced byte-identity tests.
 #[derive(Debug)]
 pub struct ForceSwarGuard {
     prev: u8,
@@ -219,24 +219,6 @@ pub(crate) fn packed_down_sweep_avx2<O: WordOp, const W: usize>(
     }
     let _ = (prefix, summaries, size);
     false
-}
-
-/// Word-array intersection test `any(a[j] & b[j] != 0)` — the packed
-/// gate's top-band AND.
-///
-/// Deliberately **not** runtime-dispatched to `vptest`: a
-/// `#[target_feature]` function can never inline into the engine's
-/// generic scan loop, and the call overhead costs more than the seven
-/// scalar ops it would replace (~2% of whole-simulation time measured
-/// via `gprofng` on the pipelined step_ab cells). The branchless fold
-/// below autovectorizes to two 128-bit `pand`/`por` pairs anyway.
-#[inline(always)]
-pub fn mask_and_any<const W: usize>(a: &[u64; W], b: &[u64; W]) -> bool {
-    let mut acc = 0u64;
-    for j in 0..W {
-        acc |= a[j] & b[j];
-    }
-    acc != 0
 }
 
 /// AVX2 form of the lane-parallel 64×64 bit transpose, returning
@@ -512,21 +494,5 @@ mod tests {
             active_simd_level() == "avx2",
             detected_simd_level() == "avx2"
         );
-    }
-
-    #[test]
-    fn mask_and_any_matches_scalar() {
-        let cases: [([u64; 4], [u64; 4]); 4] = [
-            ([0; 4], [!0; 4]),
-            ([1, 0, 0, 0], [1, 0, 0, 0]),
-            ([0, 0, 0, 1 << 63], [0, 0, 0, 1 << 63]),
-            ([0xF0, 0, 0, 0], [0x0F, !0, 0, 0]),
-        ];
-        for (a, b) in cases {
-            let want = a.iter().zip(b.iter()).any(|(&x, &y)| x & y != 0);
-            assert_eq!(mask_and_any(&a, &b), want, "{a:?} {b:?}");
-            let _guard = ForceSwarGuard::force();
-            assert_eq!(mask_and_any(&a, &b), want, "swar {a:?} {b:?}");
-        }
     }
 }
