@@ -60,10 +60,12 @@
 //!
 //! A client disconnect (EOF mid-line, broken pipe on write) closes
 //! only that connection and bumps the `disconnects` counter; it can
-//! never take the server down or poison a shard lock. A
-//! `{"cmd":"shutdown"}` from any client stops the accept loop, drains
-//! in-flight requests, unblocks idle readers, joins every worker, and
-//! the aggregate stderr summary prints exactly once.
+//! never take the server down or poison a shard lock. A request line
+//! longer than [`MAX_LINE_BYTES`] is not buffered past the cap: the
+//! client gets one `{"ok":false,"error":…}` line and that connection
+//! is closed. A `{"cmd":"shutdown"}` from any client stops the accept
+//! loop, drains in-flight requests, unblocks idle readers, joins every
+//! worker, and the aggregate stderr summary prints exactly once.
 //!
 //! The JSON codec is hand-rolled like [`crate::sweep::JsonReport`]:
 //! this workspace takes no serde dependency. Identical requests
@@ -1273,6 +1275,14 @@ fn parse_options(
     p.eat(b'}')
 }
 
+/// Longest request line a worker buffers, newline included. A client
+/// that sends more gets one error line and its connection is closed,
+/// so no peer can grow a worker's memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The response to an over-long request line (newline-terminated).
+const LINE_TOO_LONG: &str = "{\"ok\":false,\"error\":\"request line exceeds 1048576 bytes\"}\n";
+
 /// How one blocking raw-line read ended.
 enum LineRead {
     /// A complete newline-terminated line, plus how many bytes were
@@ -1285,10 +1295,15 @@ enum LineRead {
     PartialEof,
     /// Read error.
     Failed,
+    /// The line reached [`MAX_LINE_BYTES`] without ending; buffering
+    /// stopped there.
+    TooLong,
 }
 
 /// Read one line (through its `\n`) into `buf` via `fill_buf` /
 /// `consume`, so the bytes already buffered behind it stay observable.
+/// Stops with [`LineRead::TooLong`] once the line would exceed
+/// [`MAX_LINE_BYTES`].
 fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
     buf.clear();
     loop {
@@ -1305,17 +1320,18 @@ fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
             };
         }
         match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
+            Some(pos) if buf.len() + pos < MAX_LINE_BYTES => {
                 buf.extend_from_slice(&chunk[..=pos]);
                 let rest = chunk.len() - (pos + 1);
                 reader.consume(pos + 1);
                 return LineRead::Line { rest };
             }
-            None => {
+            None if buf.len() + chunk.len() < MAX_LINE_BYTES => {
                 buf.extend_from_slice(chunk);
                 let len = chunk.len();
                 reader.consume(len);
             }
+            _ => return LineRead::TooLong,
         }
     }
 }
@@ -1324,8 +1340,8 @@ fn read_raw_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> LineRead {
 /// without risking a blocking read: when `rest > 0` the buffer is
 /// non-empty, so `fill_buf` returns what is already there without
 /// touching the underlying stream. A line that is only partially
-/// buffered is left in place (`rest` drops to 0 and the next blocking
-/// read picks it up).
+/// buffered, or longer than [`MAX_LINE_BYTES`], is left in place
+/// (`rest` drops to 0 and the next blocking read picks it up).
 fn buffered_line<R: BufRead>(reader: &mut R, rest: &mut usize, buf: &mut Vec<u8>) -> bool {
     buf.clear();
     if *rest == 0 {
@@ -1336,13 +1352,13 @@ fn buffered_line<R: BufRead>(reader: &mut R, rest: &mut usize, buf: &mut Vec<u8>
         return false;
     };
     match chunk.iter().position(|&b| b == b'\n') {
-        Some(pos) => {
+        Some(pos) if pos < MAX_LINE_BYTES => {
             buf.extend_from_slice(&chunk[..=pos]);
             *rest = chunk.len() - (pos + 1);
             reader.consume(pos + 1);
             true
         }
-        None => {
+        _ => {
             *rest = 0;
             false
         }
@@ -1389,6 +1405,14 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
                 }
                 LineRead::Failed => {
                     disconnect(worker);
+                    break;
+                }
+                LineRead::TooLong => {
+                    // Stop buffering: answer once and close this stream.
+                    worker.shared.errors.fetch_add(1, Ordering::Relaxed);
+                    let _ = writer
+                        .write_all(LINE_TOO_LONG.as_bytes())
+                        .and_then(|()| writer.flush());
                     break;
                 }
             }

@@ -233,46 +233,73 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
 #[test]
 fn lane_batch_step_loop_allocates_nothing_in_steady_state() {
     use ultrascalar::{LaneBatchEngine, ProcConfig, RunResult};
-    use ultrascalar_bench::kernels::div_chain_seeded;
+    use ultrascalar_bench::kernels::{branch_gauntlet_seeded, div_chain_seeded};
     use ultrascalar_isa::{workload, Program};
+    use ultrascalar_memsys::{MemConfig, NetworkKind};
 
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     // Perfect prediction (the ultrascalar_i default) passes the
     // schedule-share gate, so every warm batch takes the full
     // lock-step path: leader engine pass, bit-sliced ALU evaluation,
-    // divergence checks, result assembly.
-    let prog = div_chain_seeded(8);
-    let population = workload::lane_variants(&prog, 64, 0x5EED);
-    let refs: Vec<&Program> = population.iter().collect();
-    let mut engine = LaneBatchEngine::new(ProcConfig::ultrascalar_i(8));
-    let mut out = vec![RunResult::default(); 64];
+    // divergence checks, result assembly. The second input sends the
+    // gauntlet's shared-address loads through a butterfly memory
+    // network, so its per-cycle stage-wire bitsets are probed too.
+    let butterfly = ProcConfig::ultrascalar_i(8)
+        .with_mem(MemConfig::realistic(8, 1 << 16).with_network(NetworkKind::Butterfly));
+    for (name, prog, cfg) in [
+        (
+            "div_chain/ideal",
+            div_chain_seeded(8),
+            ProcConfig::ultrascalar_i(8),
+        ),
+        (
+            "branch_gauntlet/butterfly",
+            branch_gauntlet_seeded(8),
+            butterfly,
+        ),
+    ] {
+        let population = workload::lane_variants(&prog, 64, 0x5EED);
+        let refs: Vec<&Program> = population.iter().collect();
+        let mut engine = LaneBatchEngine::new(cfg);
+        let mut out = vec![RunResult::default(); 64];
 
-    // Warm-up sizes the batcher's per-lane planes, the scalar engine's
-    // scratch and every RunResult's register/memory buffers.
-    engine.run_batch(&refs, &mut out);
-    engine.run_batch(&refs, &mut out);
-
-    let stats_before = *engine.lane_stats();
-    let guard = ProbeGuard::arm();
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..10 {
+        // Warm-up sizes the batcher's per-lane planes, the scalar
+        // engine's scratch and every RunResult's register/memory
+        // buffers.
         engine.run_batch(&refs, &mut out);
+        engine.run_batch(&refs, &mut out);
+
+        let stats_before = *engine.lane_stats();
+        let guard = ProbeGuard::arm();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..10 {
+            engine.run_batch(&refs, &mut out);
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        drop(guard);
+        let stats = *engine.lane_stats();
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: warm lane-batch step loop allocated in steady state"
+        );
+        assert_eq!(
+            stats.batches - stats_before.batches,
+            10,
+            "{name}: every probed batch shared the leader's schedule"
+        );
+        assert_eq!(
+            stats.peels, stats_before.peels,
+            "{name}: no divergence peels"
+        );
+        assert_eq!(stats.fallbacks, stats_before.fallbacks);
+        if name.ends_with("butterfly") {
+            assert!(
+                out[0].stats.mem.admitted > 0,
+                "{name}: loads crossed the network"
+            );
+        }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    drop(guard);
-    let stats = *engine.lane_stats();
-    assert_eq!(
-        after - before,
-        0,
-        "warm lane-batch step loop allocated in steady state"
-    );
-    assert_eq!(
-        stats.batches - stats_before.batches,
-        10,
-        "every probed batch shared the leader's schedule"
-    );
-    assert_eq!(stats.peels, stats_before.peels, "no divergence peels");
-    assert_eq!(stats.fallbacks, stats_before.fallbacks);
 }
 
 #[test]

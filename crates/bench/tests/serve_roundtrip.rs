@@ -359,3 +359,42 @@ fn oversized_window_or_alus_is_a_typed_error_not_an_abort() {
     let c = s.counters();
     assert_eq!((c.errors, c.runs), (2, 1));
 }
+
+#[test]
+fn over_cap_line_gets_one_error_and_closes_the_stream() {
+    use ultrascalar_bench::serve::MAX_LINE_BYTES;
+    let mut s = Server::new(8, 4);
+    // A client that never sends a newline: the server stops reading
+    // at the cap, answers once, and closes the stream.
+    let input = "x".repeat(4 * MAX_LINE_BYTES);
+    let mut reader = std::io::BufReader::with_capacity(8192, input.as_bytes());
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, &mut reader, &mut out);
+    let consumed = input.len() - reader.get_ref().len();
+    assert!(consumed <= MAX_LINE_BYTES + 8192, "read {consumed} bytes");
+    let text = std::str::from_utf8(&out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"ok\":false,\"error\":"), "{text}");
+    assert!(lines[0].contains(&MAX_LINE_BYTES.to_string()), "{text}");
+    assert_eq!(s.counters().errors, 1);
+    assert_eq!(s.counters().runs, 0);
+
+    // A line just under the cap is still read whole (and rejected by
+    // the parser, not the cap).
+    let mut out: Vec<u8> = Vec::new();
+    let input = format!("{}\n", "x".repeat(MAX_LINE_BYTES - 1));
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let text = std::str::from_utf8(&out).unwrap();
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(!text.contains(&MAX_LINE_BYTES.to_string()), "{text}");
+
+    // The server stays healthy: a normal request on a fresh stream
+    // succeeds.
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, format!("{PROG}\n").as_bytes(), &mut out);
+    let text = std::str::from_utf8(&out).unwrap();
+    assert!(text.starts_with("{\"ok\":true,"), "{text}");
+    assert!(text.contains("\"halted\":true"), "{text}");
+    assert_eq!(s.counters().runs, 1);
+}

@@ -16,7 +16,7 @@
 //! count is the bandwidth profile's root capacity `⌈M(n)⌉`.
 
 use crate::bandwidth::Bandwidth;
-use ultrascalar_prefix::packed::BitWords;
+use crate::bitwords::BitWords;
 
 /// Per-cycle butterfly admission control.
 #[derive(Debug, Clone)]

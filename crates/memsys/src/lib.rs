@@ -24,6 +24,7 @@
 
 pub mod bandwidth;
 pub mod banked;
+mod bitwords;
 pub mod butterfly;
 pub mod cache;
 pub mod fattree;

@@ -20,7 +20,9 @@
 //!
 //! Both a quadratic-work reference evaluation ([`cspp_ring`]) and the
 //! hardware's `Θ(log n)`-depth tree evaluation ([`cspp_tree`]) are
-//! provided; property tests pin them together.
+//! provided; property tests pin them together. [`cspp_heap_with`] is
+//! the same tree evaluation driven by a closure, which is how the
+//! circuit generators emit CSPP netlists gate by gate.
 
 use crate::op::{PrefixOp, SegOp, SegPair};
 use crate::tree::TreeScan;
@@ -96,9 +98,9 @@ pub fn segmented_prefix_tree<T: Clone, O: PrefixOp<T>>(
 ///
 /// This is the slow reference form, kept as the oracle for property
 /// tests; production paths (benches, the allocator in
-/// [`crate::sched`]) use [`cspp_tree`] or the packed/arena forms. A
-/// debug assertion rejects rings beyond 4096 stations to catch the
-/// reference form sneaking into a sized sweep.
+/// [`crate::sched`]) use [`cspp_tree`]. A debug assertion rejects
+/// rings beyond 4096 stations to catch the reference form sneaking
+/// into a sized sweep.
 ///
 /// # Panics
 /// Panics if `xs.len() != seg.len()` or the ring is empty.
@@ -107,8 +109,8 @@ pub fn cspp_ring<T: Clone, O: PrefixOp<T>>(xs: &[T], seg: &[bool]) -> Vec<SegPai
     assert!(!xs.is_empty(), "CSPP ring must be non-empty");
     debug_assert!(
         xs.len() <= 4096,
-        "cspp_ring is the slow reference form; use cspp_tree (or the \
-         packed/arena forms) for rings beyond 4096 stations"
+        "cspp_ring is the slow reference form; use cspp_tree for rings \
+         beyond 4096 stations"
     );
     let n = xs.len();
     let leaf = |j: usize| SegPair::leaf(xs[j].clone(), seg[j]);
@@ -169,6 +171,68 @@ pub fn cspp_all_earlier(conditions: &[bool], oldest: usize) -> Vec<bool> {
         .into_iter()
         .map(|p| p.value)
         .collect()
+}
+
+/// Number of leaves covered by heap node `k` in a tree of `size`
+/// leaf slots (`size` a power of two, `k` in `1..2*size`).
+#[inline]
+fn node_span(size: usize, k: usize) -> usize {
+    debug_assert!(k >= 1 && k < 2 * size);
+    (2 * size) >> (usize::BITS - k.leading_zeros())
+}
+
+/// Does heap node `k` cover at least one of the `n` real leaves?
+///
+/// Occupancy of the left-balanced heap layout is arithmetic: node `k`
+/// covers `span(k)` leaves starting at leaf `k*span(k) - size`, so it
+/// is occupied iff `k * span(k) < size + n`. Because leaves are
+/// left-packed, an occupied right child implies an occupied left child.
+#[inline]
+fn occupied(size: usize, n: usize, k: usize) -> bool {
+    k * node_span(size, k) < size + n
+}
+
+/// Cyclic segmented-or-plain parallel prefix over a heap-layout tree,
+/// driven by a *closure* instead of a [`PrefixOp`] — the building block
+/// the circuit generators use, where "combining" two summaries means
+/// **emitting gates into a netlist** (the closure captures `&mut
+/// Netlist`). The tree top is tied: the root's own summary seeds the
+/// down-sweep, realising the paper's cyclic wrap (Figure 4).
+///
+/// Returns `out[i]` = the combination flowing into leaf `i` from its
+/// cyclic predecessors. The combination *order* (which pairs are
+/// combined, bottom-up then top-down over the left-balanced tree) is
+/// fixed, so generated circuits have the canonical `Θ(log n)` depth.
+///
+/// # Panics
+/// Panics on empty input.
+pub fn cspp_heap_with<T: Clone>(leaves: &[T], mut combine: impl FnMut(&T, &T) -> T) -> Vec<T> {
+    assert!(!leaves.is_empty(), "CSPP ring must be non-empty");
+    let n = leaves.len();
+    let size = n.next_power_of_two();
+    let mut summaries: Vec<T> = vec![leaves[0].clone(); 2 * size];
+    summaries[size..size + n].clone_from_slice(leaves);
+    for k in (1..size).rev() {
+        if occupied(size, n, 2 * k + 1) {
+            let c = combine(&summaries[2 * k], &summaries[2 * k + 1]);
+            summaries[k] = c;
+        } else if occupied(size, n, 2 * k) {
+            summaries[k] = summaries[2 * k].clone();
+        }
+    }
+    let root = summaries[1].clone();
+    let mut prefix: Vec<T> = vec![root; 2 * size];
+    for k in 1..size {
+        if !occupied(size, n, k) {
+            continue;
+        }
+        let p = prefix[k].clone();
+        if occupied(size, n, 2 * k + 1) {
+            prefix[2 * k + 1] = combine(&p, &summaries[2 * k]);
+        }
+        prefix[2 * k] = p;
+    }
+    prefix[size..size + n].to_vec()
 }
 
 #[cfg(test)]
@@ -313,6 +377,51 @@ mod tests {
             for i in 0..cond.len() {
                 assert_eq!(out[(i + r) % cond.len()], base[i], "rot {r} pos {i}");
             }
+        }
+    }
+
+    #[test]
+    fn occupancy_arithmetic_matches_option_heap() {
+        for n in 1..=40usize {
+            let size = n.next_power_of_two();
+            // Reference: the Option-based occupancy of TreeScan.
+            let mut occ = vec![false; 2 * size];
+            for i in 0..n {
+                occ[size + i] = true;
+            }
+            for k in (1..size).rev() {
+                occ[k] = occ[2 * k] || occ[2 * k + 1];
+            }
+            for k in 1..2 * size {
+                assert_eq!(occupied(size, n, k), occ[k], "n={n} k={k}");
+                // Left-packed invariant: right occupied => left occupied.
+                if k < size && occ[2 * k + 1] {
+                    assert!(occ[2 * k]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_with_closure_matches_cspp_ring() {
+        for n in 1..=33usize {
+            let vals: Vec<u32> = (0..n as u32).map(|i| i * 7 + 1).collect();
+            let seg: Vec<bool> = (0..n).map(|i| i % 4 == 1).collect();
+            let leaves: Vec<SegPair<u32>> = vals
+                .iter()
+                .zip(&seg)
+                .map(|(&v, &s)| SegPair::leaf(v, s))
+                .collect();
+            let mut combines = 0usize;
+            let out = cspp_heap_with(&leaves, |a, b| {
+                combines += 1;
+                SegOp::<First>::combine(a, b)
+            });
+            assert_eq!(out, cspp_ring::<u32, First>(&vals, &seg), "n={n}");
+            // Work stays linear in n even for non-powers of two: at
+            // most one combine per occupied internal node in each
+            // sweep.
+            assert!(combines <= 4 * n, "n={n} combines={combines}");
         }
     }
 }

@@ -1,17 +1,13 @@
 //! Lane-parallel 32-bit values: 64 independent simulations per plane
 //! word.
 //!
-//! [`crate::sliced`] carries register *values* as bit-planes so one
-//! tree sweep forwards `64·W` registers of **one** machine. This module
-//! inverts the lane assignment: bit `l` of every plane belongs to
-//! *simulation* `l`, so a single word-parallel operation advances the
-//! same architectural register of 64 **independent machines** at once
-//! (the QiMeng-CPU-v2 data-dependency-as-bitplane trick applied to
-//! whole runs instead of one run's flags). The storage is literally the
-//! sliced substrate's pair type — [`LaneValue`] is `SlicedPair<32, 1>`,
-//! 32 planes × 64 lanes, with the segment word unused — so the lane
-//! batch engine in `ultrascalar` rides the same representation the
-//! value CSPP was built from.
+//! A value is stored as 32 bit-planes, and bit `l` of every plane
+//! belongs to *simulation* `l`, so a single word-parallel operation
+//! advances the same architectural register of 64 **independent
+//! machines** at once (the QiMeng-CPU-v2 data-dependency-as-bitplane
+//! trick applied to whole runs instead of one run's flags). The lane
+//! batch engine in `ultrascalar` keeps every architectural register of
+//! a lane population as one [`LaneValue`].
 //!
 //! Three evaluation strategies cover the ISA's operator zoo:
 //!
@@ -28,21 +24,28 @@
 //!   shifts transpose the 64×32 bit matrix out to ordinary `u32`s
 //!   ([`extract`]), apply the scalar operator per lane, and transpose
 //!   back ([`deposit`]). The transpose is the textbook 64×64 in-place
-//!   block-swap network, 6 levels of masked exchanges.
+//!   block-swap network, 6 levels of masked exchanges, with an AVX2
+//!   form in [`crate::simd`].
 //!
 //! Every operation is total on all 64 lanes — inactive lanes simply
 //! compute don't-care values — so callers gate by a lane *mask* instead
 //! of branching per lane.
 
-use crate::sliced::SlicedPair;
-
 /// Lane capacity of one plane word: one independent simulation per bit.
 pub const LANES: usize = 64;
 
-/// The 64-lane 32-bit value bundle: bit `l` of `planes[p][0]` is bit
-/// `p` of lane `l`'s value. The segment word of the underlying
-/// [`SlicedPair`] is unused (always zero) in this role.
-pub type LaneValue = SlicedPair<32, 1>;
+/// The 64-lane 32-bit value bundle: bit `l` of `planes[p]` is bit `p`
+/// of lane `l`'s value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneValue {
+    /// Bit-planes of the per-lane values, least significant first.
+    planes: [u64; 32],
+}
+
+impl LaneValue {
+    /// Zero in every lane.
+    pub const ZERO: LaneValue = LaneValue { planes: [0; 32] };
+}
 
 /// A lane mask with the low `n` bits raised.
 ///
@@ -90,9 +93,9 @@ pub fn deposit(vals: &[u32; LANES]) -> LaneValue {
         *row = v as u64;
     }
     transpose64(&mut rows);
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for (plane, &row) in out.planes.iter_mut().zip(rows.iter()) {
-        plane[0] = row;
+        *plane = row;
     }
     out
 }
@@ -101,7 +104,7 @@ pub fn deposit(vals: &[u32; LANES]) -> LaneValue {
 pub fn extract(v: &LaneValue, vals: &mut [u32; LANES]) {
     let mut rows = [0u64; 64];
     for (p, row) in rows.iter_mut().take(32).enumerate() {
-        *row = v.planes[p][0];
+        *row = v.planes[p];
     }
     transpose64(&mut rows);
     for (val, &row) in vals.iter_mut().zip(rows.iter()) {
@@ -112,9 +115,9 @@ pub fn extract(v: &LaneValue, vals: &mut [u32; LANES]) {
 /// The same value in every lane: plane `p` is all-ones iff bit `p` of
 /// `v` is set.
 pub fn broadcast(v: u32) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for p in 0..32 {
-        out.planes[p][0] = if v >> p & 1 == 1 { u64::MAX } else { 0 };
+        out.planes[p] = if v >> p & 1 == 1 { u64::MAX } else { 0 };
     }
     out
 }
@@ -126,7 +129,7 @@ pub fn lane(v: &LaneValue, l: usize) -> u32 {
     assert!(l < LANES, "lane out of range");
     let mut out = 0u32;
     for p in 0..32 {
-        out |= ((v.planes[p][0] >> l & 1) as u32) << p;
+        out |= ((v.planes[p] >> l & 1) as u32) << p;
     }
     out
 }
@@ -136,17 +139,17 @@ pub fn lane(v: &LaneValue, l: usize) -> u32 {
 ///
 /// Deliberately **not** AVX2-dispatched: a vectorized Kogge–Stone
 /// carry network was measured at ~0.3× of this ripple on an AVX2 host
-/// (`examples/simd_ab.rs`) — the ripple's single-word carry chain
-/// inlines into four scalar ops per plane with no memory round-trips,
-/// while the log-depth network pays per-round load/store traffic.
-/// The same measurement rejected planewise vector ALU/compare forms.
+/// — the ripple's single-word carry chain inlines into four scalar ops
+/// per plane with no memory round-trips, while the log-depth network
+/// pays per-round load/store traffic. The same measurement rejected
+/// planewise vector ALU/compare forms.
 pub fn add(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     let mut carry = 0u64;
     for p in 0..32 {
-        let (x, y) = (a.planes[p][0], b.planes[p][0]);
+        let (x, y) = (a.planes[p], b.planes[p]);
         let xy = x ^ y;
-        out.planes[p][0] = xy ^ carry;
+        out.planes[p] = xy ^ carry;
         carry = (x & y) | (carry & xy);
     }
     out
@@ -154,12 +157,12 @@ pub fn add(a: &LaneValue, b: &LaneValue) -> LaneValue {
 
 /// Lane-wise wrapping `a - b` (as `a + !b + 1`).
 pub fn sub(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     let mut carry = u64::MAX;
     for p in 0..32 {
-        let (x, y) = (a.planes[p][0], !b.planes[p][0]);
+        let (x, y) = (a.planes[p], !b.planes[p]);
         let xy = x ^ y;
-        out.planes[p][0] = xy ^ carry;
+        out.planes[p] = xy ^ carry;
         carry = (x & y) | (carry & xy);
     }
     out
@@ -167,27 +170,27 @@ pub fn sub(a: &LaneValue, b: &LaneValue) -> LaneValue {
 
 /// Lane-wise bitwise AND.
 pub fn and(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for p in 0..32 {
-        out.planes[p][0] = a.planes[p][0] & b.planes[p][0];
+        out.planes[p] = a.planes[p] & b.planes[p];
     }
     out
 }
 
 /// Lane-wise bitwise OR.
 pub fn or(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for p in 0..32 {
-        out.planes[p][0] = a.planes[p][0] | b.planes[p][0];
+        out.planes[p] = a.planes[p] | b.planes[p];
     }
     out
 }
 
 /// Lane-wise bitwise XOR.
 pub fn xor(a: &LaneValue, b: &LaneValue) -> LaneValue {
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for p in 0..32 {
-        out.planes[p][0] = a.planes[p][0] ^ b.planes[p][0];
+        out.planes[p] = a.planes[p] ^ b.planes[p];
     }
     out
 }
@@ -196,7 +199,7 @@ pub fn xor(a: &LaneValue, b: &LaneValue) -> LaneValue {
 pub fn eq_mask(a: &LaneValue, b: &LaneValue) -> u64 {
     let mut diff = 0u64;
     for p in 0..32 {
-        diff |= a.planes[p][0] ^ b.planes[p][0];
+        diff |= a.planes[p] ^ b.planes[p];
     }
     !diff
 }
@@ -208,8 +211,8 @@ fn carry_out(a: &LaneValue, b: &LaneValue, flip_sign: bool) -> u64 {
     let mut carry = u64::MAX;
     for p in 0..32 {
         let flip = if flip_sign && p == 31 { u64::MAX } else { 0 };
-        let x = a.planes[p][0] ^ flip;
-        let y = !(b.planes[p][0] ^ flip);
+        let x = a.planes[p] ^ flip;
+        let y = !(b.planes[p] ^ flip);
         let xy = x ^ y;
         carry = (x & y) | (carry & xy);
     }
@@ -231,8 +234,8 @@ pub fn lt_mask(a: &LaneValue, b: &LaneValue) -> u64 {
 /// A 0/1 value per lane from a mask (plane 0 ← mask) — the `Slt`/`Sltu`
 /// result form.
 pub fn mask_value(mask: u64) -> LaneValue {
-    let mut out = LaneValue::identity();
-    out.planes[0][0] = mask;
+    let mut out = LaneValue::ZERO;
+    out.planes[0] = mask;
     out
 }
 
@@ -244,9 +247,9 @@ pub fn mask_value(mask: u64) -> LaneValue {
 pub fn sll_uniform(a: &LaneValue, sh: u32) -> LaneValue {
     let sh = sh as usize;
     assert!(sh < 32, "shift amount must be pre-masked");
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for p in sh..32 {
-        out.planes[p][0] = a.planes[p - sh][0];
+        out.planes[p] = a.planes[p - sh];
     }
     out
 }
@@ -259,9 +262,9 @@ pub fn sll_uniform(a: &LaneValue, sh: u32) -> LaneValue {
 pub fn srl_uniform(a: &LaneValue, sh: u32) -> LaneValue {
     let sh = sh as usize;
     assert!(sh < 32, "shift amount must be pre-masked");
-    let mut out = LaneValue::identity();
+    let mut out = LaneValue::ZERO;
     for p in 0..32 - sh {
-        out.planes[p][0] = a.planes[p + sh][0];
+        out.planes[p] = a.planes[p + sh];
     }
     out
 }
@@ -274,14 +277,10 @@ pub fn srl_uniform(a: &LaneValue, sh: u32) -> LaneValue {
 pub fn sra_uniform(a: &LaneValue, sh: u32) -> LaneValue {
     let sh = sh as usize;
     assert!(sh < 32, "shift amount must be pre-masked");
-    let mut out = LaneValue::identity();
-    let sign = a.planes[31][0];
+    let mut out = LaneValue::ZERO;
+    let sign = a.planes[31];
     for p in 0..32 {
-        out.planes[p][0] = if p + sh < 32 {
-            a.planes[p + sh][0]
-        } else {
-            sign
-        };
+        out.planes[p] = if p + sh < 32 { a.planes[p + sh] } else { sign };
     }
     out
 }
@@ -297,7 +296,7 @@ pub fn uniform_value(a: &LaneValue, mask: u64) -> Option<u32> {
     let reference = lane(a, mask.trailing_zeros() as usize);
     for p in 0..32 {
         let want = if reference >> p & 1 == 1 { mask } else { 0 };
-        if a.planes[p][0] & mask != want {
+        if a.planes[p] & mask != want {
             return None;
         }
     }
@@ -352,7 +351,7 @@ mod tests {
         for (l, &val) in vals.iter().enumerate() {
             for p in 0..32 {
                 assert_eq!(
-                    v.planes[p][0] >> l & 1,
+                    v.planes[p] >> l & 1,
                     (val >> p & 1) as u64,
                     "plane {p} lane {l}"
                 );
@@ -362,10 +361,6 @@ mod tests {
         let mut back = [0u32; LANES];
         extract(&v, &mut back);
         assert_eq!(back, vals);
-        // And the SlicedPair accessors agree with the lane view.
-        for (l, &val) in vals.iter().enumerate() {
-            assert_eq!(v.lane_value(l), val as u64);
-        }
     }
 
     #[test]
@@ -506,7 +501,7 @@ mod tests {
         assert_eq!(mask_lo(1), 1);
         assert_eq!(mask_lo(5), 0b11111);
         assert_eq!(mask_lo(64), u64::MAX);
-        assert_eq!(mask_value(0b101).planes[0][0], 0b101);
+        assert_eq!(mask_value(0b101).planes[0], 0b101);
         assert_eq!(lane(&mask_value(0b100), 2), 1);
         assert_eq!(lane(&mask_value(0b100), 1), 0);
     }

@@ -1,4 +1,4 @@
-//! Parallel-prefix substrate for the Ultrascalar reproduction.
+//! Parallel-prefix algorithms for the Ultrascalar reproduction.
 //!
 //! The Ultrascalar processors of Kuszmaul, Henry and Loh (SPAA '99) are
 //! built almost entirely out of *parallel-prefix tree circuits*:
@@ -13,80 +13,54 @@
 //!   segmented* reduction trees that locate the nearest preceding writer
 //!   of a requested register (paper Figure 8).
 //!
-//! This crate provides those primitives as pure algorithms:
+//! This crate provides those primitives as pure algorithms, which the
+//! paper-figure binaries print and the `ultrascalar-circuit` netlists
+//! are property-tested against:
 //!
 //! * [`scan`] — serial reference scans (inclusive, exclusive, segmented),
 //! * [`tree`] — work-efficient tree scans with circuit-depth accounting,
-//! * [`cspp`] — segmented and cyclic-segmented prefix, both a naive
-//!   reference "ring" evaluation and the logarithmic-depth tree
-//!   evaluation used by the hardware,
-//! * [`arena`] — the same scans into retained, `Option`-free scratch
-//!   with zero steady-state allocations and `O(log n)` incremental leaf
-//!   updates ([`arena::ArenaScan`]), plus the closure-driven heap CSPP
-//!   the circuit generators build netlists through,
-//! * [`packed`] — bit-packed boolean CSPP: 64 one-bit networks per
-//!   `u64` word evaluated word-parallel (SWAR), the production form of
-//!   the paper's flag and ready-bit circuits; the multi-word
-//!   [`packed::PackedCsppScratchW`] form evaluates `64·W` lanes per
-//!   pass for problems wider than one machine word (e.g. register
-//!   files with up to 256 logical registers), and the
-//!   [`packed::BitWords`] bitset backs packed per-cycle state
-//!   elsewhere in the workspace,
-//! * [`lanes`] — the lane-parallel *simulation* view of the same
-//!   substrate: bit `l` of every plane belongs to independent
-//!   simulation `l`, so [`lanes::LaneValue`] (a [`SlicedPair<32, 1>`])
-//!   advances one architectural register of 64 machines per word op —
-//!   planewise ALU/compare forms, lane-uniform shift relabelling, and
-//!   a transpose-based extract/compute/deposit escape hatch,
-//! * [`sliced`] — bit-sliced *value* CSPP: whole `B`-bit register
-//!   values stored as `B` bit-planes per node, so one tree sweep
-//!   forwards the last-writer **value** for `64·W` registers at once
-//!   under the register-forwarding select operator (the software
-//!   analogue of the paper's Figure 4 value datapath),
+//! * [`cspp`] — segmented and cyclic-segmented prefix: a naive
+//!   reference "ring" evaluation, the logarithmic-depth tree evaluation
+//!   used by the hardware, and [`cspp_heap_with`], the closure-driven
+//!   form the circuit generators emit netlists through,
 //! * [`op`] — the associative-operator abstraction shared by all of the
 //!   above, including the two operators used in the paper
 //!   ([`op::First`], the register-forwarding operator `a ⊗ b = a`, and
 //!   [`op::BoolAnd`], the sequencing operator `a ⊗ b = a ∧ b`),
-//! * [`simd`] — runtime-dispatched AVX2 forms of the hot combine
-//!   kernels (`is_x86_feature_detected!`), bit-for-bit identical to
-//!   the portable SWAR twins, with the `USIM_FORCE_SWAR` /
-//!   [`simd::set_force_swar`] escape hatch pinning the fallback.
+//! * [`sched`] — oldest-first allocation of shared ALUs over the ring.
 //!
-//! The gate-level realisations of the same structures live in the
-//! `ultrascalar-circuit` crate; property tests there check that the
-//! netlists agree with the algorithms in this crate.
+//! One simulator substrate lives here too:
+//!
+//! * [`lanes`] — the lane-parallel *simulation* view: bit `l` of every
+//!   bit-plane belongs to independent simulation `l`, so a
+//!   [`lanes::LaneValue`] advances one architectural register of 64
+//!   machines per word op (planewise ALU/compare forms, lane-uniform
+//!   shift relabelling, and a transpose-based extract/compute/deposit
+//!   escape hatch); the lane batch engine in `ultrascalar` runs on it,
+//! * [`simd`] — the runtime-dispatched AVX2 form of the lane transpose
+//!   (`is_x86_feature_detected!`), bit-for-bit identical to the
+//!   portable network, with the `USIM_FORCE_SWAR` environment variable
+//!   and [`simd::ForceSwarGuard`] pinning the fallback.
 
 #![deny(missing_docs)]
 // `unsafe` is denied crate-wide and re-allowed in exactly one place:
 // the `simd` module, whose `std::arch` intrinsic calls sit behind
-// runtime feature detection and safe wrappers.
+// runtime feature detection and a safe wrapper.
 #![deny(unsafe_code)]
 
-pub mod arena;
 pub mod cspp;
 pub mod lanes;
 pub mod op;
-pub mod packed;
 pub mod scan;
 pub mod sched;
 pub mod simd;
-pub mod sliced;
 pub mod tree;
 
-pub use arena::{cspp_heap_with, ArenaScan};
-pub use cspp::{cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tree};
+pub use cspp::{
+    cspp_heap_with, cspp_ring, cspp_tree, segmented_prefix_ring, segmented_prefix_tree,
+};
 pub use lanes::LaneValue;
 pub use op::{BoolAnd, BoolOr, First, Last, Max, Min, PrefixOp, SegPair, Sum};
-pub use packed::{
-    pack_lane, pack_lane_w, packed_cspp_ring, packed_cspp_ring_w, unpack_lane, unpack_lane_w,
-    AndWords, BitWords, OrWords, PackedCsppScratch, PackedCsppScratchW, PackedPair, PackedPairW,
-    WordOp,
-};
 pub use sched::allocate_oldest_first;
-pub use simd::{
-    active_simd_level, detected_simd_level, force_swar_active, set_force_swar, ForceSwarGuard,
-};
-pub use sliced::{
-    pack_value_lane, sliced_cspp_ring, unpack_value_lane, SlicedCsppScratch, SlicedPair,
-};
+pub use simd::{active_simd_level, detected_simd_level, ForceSwarGuard};
 pub use tree::{tree_scan_exclusive, tree_scan_inclusive, TreeScan};
