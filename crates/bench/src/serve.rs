@@ -11,84 +11,87 @@
 //! → {"ok":true,"arch":"usi","window":8,"cluster":1,"halted":true,...}
 //! ```
 //!
+//! # One run path
+//!
+//! Every run request is resolved the same way — its source (inline
+//! `program`, or `program_path`), its configuration
+//! (`cli::build_config`), its program-cache entry — and served as a
+//! **lane group**: consecutive run requests for the same configuration
+//! and program that already sit complete in the read buffer join it (up
+//! to [`ultrascalar::MAX_LANES`]), and the group runs as one
+//! [`ultrascalar::LaneBatcher`] batch, whose schedule is shared across
+//! every converged lane. A group of one is a plain engine run, and a
+//! request/response client never has a second line buffered, so its
+//! groups are always of one. Responses are byte-identical to serving
+//! the lines one at a time.
+//!
 //! # Scaling the request plane
 //!
-//! Socket mode accepts many simultaneous clients: the accept loop
-//! spawns one serving thread per connection, bounded by `--workers N`
-//! (default: the host's available parallelism). The scaling problem is
-//! the one the source tradition understands well — shared-structure
-//! hot spots, not compute, bound throughput — so every shared
-//! structure is sharded and every lock is held for a scan, never for a
-//! simulation:
+//! Socket mode spawns one serving thread per connection, bounded by
+//! `--workers N` (default: the host's available parallelism). Shared
+//! hot spots, not compute, bound such a server, so every shared
+//! structure has one shard per worker and every lock is held for a
+//! scan, never for a simulation:
 //!
-//! * assembled programs live in a [`ShardedProgramCache`]: N
-//!   independent LRU shards selected by the FNV-1a content hash, each
-//!   behind its own mutex. A hit clones an `Arc` out of the shard and
-//!   releases the lock before the engine runs.
+//! * assembled programs live in a [`ShardedProgramCache`] (LRU shards
+//!   selected by the FNV-1a content hash); a hit clones an `Arc` out of
+//!   its shard and releases the lock before the engine runs;
 //! * warm engines live in a [`ShardedEnginePool`] keyed by a
-//!   `ProcConfig` hash with the same discipline, accessed by
-//!   **checkout/checkin**: a checkout removes the engine from its
-//!   shard, the worker simulates with no lock held, and checkin
-//!   returns it (two workers on the same configuration simply hold
-//!   two engines).
+//!   `ProcConfig` hash, accessed by **checkout/checkin**: the worker
+//!   simulates with no lock held, and two workers on the same
+//!   configuration simply hold two engines;
 //! * **config-affinity batching**: a worker keeps its checked-out
 //!   engine across consecutive same-`ProcConfig` requests, so a
-//!   config-sorted request stream (the natural shape of a
-//!   design-space sweep) touches the pool only when the configuration
-//!   changes. Batched runs are counted separately
-//!   (`batched_runs` in `{"cmd":"stats"}`).
-//! * **lane batching**: when a client pipelines — several complete
-//!   request lines already sit in the read buffer — consecutive run
-//!   requests for the same configuration and program are grouped (up
-//!   to [`ultrascalar::MAX_LANES`]) and submitted as one
-//!   [`ultrascalar::LaneBatcher`] batch: one engine pass whose
-//!   schedule is shared across every converged lane, responses
-//!   byte-identical to serving the lines one at a time. A
-//!   request/response client never has a second line buffered, so it
-//!   is served exactly as before; grouping only engages when the
-//!   stream is ahead of the server. Lock-step-delivered results and
-//!   divergence peels are counted separately (`lane_batched_runs` /
-//!   `lane_divergence_peels` in `{"cmd":"stats"}`).
+//!   config-sorted sweep touches the pool only when the configuration
+//!   changes (`batched_runs` in `{"cmd":"stats"}`);
+//! * **per-worker counters**: each worker slot owns one
+//!   [`ServeCounters`] record behind its own mutex. Only that slot's
+//!   worker writes it, so the lock is uncontended except while a
+//!   `{"cmd":"stats"}` read merges the slots.
 //!
-//! Each worker keeps the zero-allocation warm path of the serial
-//! server: requests parse into worker-owned reused [`String`] buffers
-//! and responses serialise into a worker-owned reused line buffer, so
-//! the steady-state request loop — parse, cache hit, affinity/pool
-//! hit, simulate, respond — performs **zero heap allocations per
-//! worker**, under concurrency included (asserted by the
-//! counting-allocator probe in `tests/serve_alloc_probe.rs`).
+//! The steady-state request loop — parse into reused buffers, cache
+//! hit, affinity/pool hit, simulate, respond into a reused line —
+//! performs **zero heap allocations per worker**, under concurrency
+//! included (asserted by `tests/serve_alloc_probe.rs`).
+//!
+//! # Limits and failures
 //!
 //! A client disconnect (EOF mid-line, broken pipe on write) closes
-//! only that connection and bumps the `disconnects` counter; it can
-//! never take the server down or poison a shard lock. A request line
-//! longer than [`MAX_LINE_BYTES`] is not buffered past the cap: the
-//! client gets one `{"ok":false,"error":…}` line and that connection
-//! is closed. A `{"cmd":"shutdown"}` from any client stops the accept
-//! loop, drains in-flight requests, unblocks idle readers, joins every
-//! worker, and the aggregate stderr summary prints exactly once.
+//! only that connection and bumps `disconnects`. A request line longer
+//! than [`MAX_LINE_BYTES`] gets one `{"ok":false,"error":…}` line and
+//! its connection is closed. A `program_path` must name a regular file
+//! of at most [`MAX_LINE_BYTES`], and `max_cycles` may not exceed
+//! [`MAX_REQUEST_CYCLES`]; either violation is an error line and the
+//! connection keeps serving. A `{"cmd":"shutdown"}` from any client
+//! stops the accept loop, drains in-flight requests, joins every
+//! worker, and prints [`shutdown_line`] — the `{"cmd":"stats"}` object
+//! — to stderr exactly once.
 //!
-//! The JSON codec is hand-rolled like [`crate::sweep::JsonReport`]:
-//! this workspace takes no serde dependency. Identical requests
-//! produce byte-identical responses (per-request wall time is
-//! reported only when the request opts in with `"timing": true`);
-//! cache effectiveness and shard balance are observable through the
-//! counters of a `{"cmd":"stats"}` request and the final summary.
+//! The JSON codec is hand-rolled like [`crate::sweep::JsonReport`]
+//! (no serde dependency). Identical requests produce byte-identical
+//! responses; per-request wall time is reported only when the request
+//! opts in with `"timing": true`.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::cli::{self, RunOptions, ServeOptions};
 use ultrascalar::{
-    LaneBatcher, PoolStats, PooledEngine, ProcConfig, Processor, RunResult, ShardedEnginePool,
+    LaneBatchStats, LaneBatcher, PoolStats, PooledEngine, ProcConfig, RunResult, ShardedEnginePool,
     MAX_LANES,
 };
 use ultrascalar_isa::{CacheStats, Program, ShardedProgramCache};
 use ultrascalar_memsys::NetworkKind;
+
+/// Largest `max_cycles` a request may ask for: the `usim run` default,
+/// which is also what a request without `max_cycles` gets. It bounds
+/// how long one request can hold a worker.
+pub const MAX_REQUEST_CYCLES: u64 = 50_000_000;
 
 /// Lock recovering from poison: the guarded state is cache/registry
 /// bookkeeping whose invariants hold on every exit path, so one
@@ -143,8 +146,9 @@ impl Request {
     }
 }
 
-/// Aggregate serving counters, snapshotted by
-/// [`ServeShared::counters`].
+/// Serving counters. Each worker slot accumulates one record, and
+/// [`ServeShared::counters`] merges the slots into a snapshot of the
+/// same type.
 #[derive(Debug, Clone, Default)]
 pub struct ServeCounters {
     /// Request lines handled (including malformed ones).
@@ -159,31 +163,13 @@ pub struct ServeCounters {
     /// Runs served on the worker's already-held engine (config-affinity
     /// batching; these never touched a pool shard).
     pub batched_runs: u64,
-    /// Runs whose result was delivered by a lane-batch lock-step pass
-    /// (leader included) rather than its own engine pass.
-    pub lane_batched_runs: u64,
-    /// Lanes peeled back to a serial engine run after diverging from
-    /// their batch leader.
-    pub lane_divergence_peels: u64,
-    /// Clean epochs walked across all lane-batch passes (a
-    /// mispredict-free batch contributes exactly one).
-    pub lane_epochs: u64,
-    /// Lanes peeled during wrong-path segment replay at an epoch
-    /// boundary (subset of `lane_divergence_peels`' sibling counter in
-    /// the batcher; reported separately because they mark predictor
-    /// divergence rather than dataflow divergence).
-    pub lane_replay_peels: u64,
-    /// Groups demoted to serial because members disagreed on register
-    /// or memory shape.
-    pub lane_demote_incompatible: u64,
-    /// Groups demoted to serial because the leader run did not halt.
-    pub lane_demote_leader: u64,
-    /// Groups demoted to serial because the leader's schedule could not
-    /// be walked in lock-step (structural mismatch).
-    pub lane_demote_structure: u64,
-    /// Groups demoted to serial because lane 0's lock-step result
-    /// failed self-verification against the leader.
-    pub lane_demote_verify: u64,
+    /// Lane-batch counters: results delivered by a lock-step pass
+    /// (`lane_runs`), divergence and replay peels, clean epochs, and
+    /// demotions to serial runs by cause.
+    pub lanes: LaneBatchStats,
+    /// Engines held by workers between requests (a gauge, not a
+    /// count).
+    pub engines_held: u64,
     /// Total cycles simulated across all runs.
     pub cycles_simulated: u64,
     /// Total instructions committed across all runs.
@@ -193,73 +179,52 @@ pub struct ServeCounters {
     pub wall: Duration,
 }
 
+impl ServeCounters {
+    /// Add `other` into `self`, counter by counter.
+    fn merge(&mut self, other: &Self) {
+        self.requests += other.requests;
+        self.runs += other.runs;
+        self.errors += other.errors;
+        self.disconnects += other.disconnects;
+        self.batched_runs += other.batched_runs;
+        self.lanes.merge(&other.lanes);
+        self.engines_held += other.engines_held;
+        self.cycles_simulated += other.cycles_simulated;
+        self.instructions_committed += other.instructions_committed;
+        self.wall += other.wall;
+    }
+}
+
 /// The serving state shared by every worker thread: sharded program
-/// cache, sharded engine pool, and atomic aggregate counters.
+/// cache, sharded engine pool, and one counter record per worker slot.
 #[derive(Debug)]
 pub struct ServeShared {
     programs: ShardedProgramCache,
     engines: ShardedEnginePool,
-    workers: usize,
-    requests: AtomicU64,
-    runs: AtomicU64,
-    errors: AtomicU64,
-    disconnects: AtomicU64,
-    batched: AtomicU64,
-    lane_batched: AtomicU64,
-    lane_peels: AtomicU64,
-    lane_epochs: AtomicU64,
-    lane_replay_peels: AtomicU64,
-    lane_demote_incompatible: AtomicU64,
-    lane_demote_leader: AtomicU64,
-    lane_demote_structure: AtomicU64,
-    lane_demote_verify: AtomicU64,
-    engines_held: AtomicU64,
-    cycles_simulated: AtomicU64,
-    instructions_committed: AtomicU64,
-    wall_nanos: AtomicU64,
-    worker_requests: Vec<AtomicU64>,
+    slots: Vec<Mutex<ServeCounters>>,
     shutdown: AtomicBool,
 }
 
 impl ServeShared {
-    /// Build the shared serving state from parsed options. A `shards`
-    /// value of 0 resolves to one shard per worker.
+    /// Build the shared serving state from parsed options, with one
+    /// cache shard and one pool shard per worker.
     ///
     /// # Panics
     /// Panics if a capacity or the worker count is zero (the CLI
     /// parser rejects these first).
     pub fn new(o: &ServeOptions) -> Self {
         assert!(o.workers > 0, "serve needs at least one worker");
-        let shards = if o.shards == 0 { o.workers } else { o.shards };
         ServeShared {
-            programs: ShardedProgramCache::new(o.program_cache, shards),
-            engines: ShardedEnginePool::new(o.engines, shards),
-            workers: o.workers,
-            requests: AtomicU64::new(0),
-            runs: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            disconnects: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
-            lane_batched: AtomicU64::new(0),
-            lane_peels: AtomicU64::new(0),
-            lane_epochs: AtomicU64::new(0),
-            lane_replay_peels: AtomicU64::new(0),
-            lane_demote_incompatible: AtomicU64::new(0),
-            lane_demote_leader: AtomicU64::new(0),
-            lane_demote_structure: AtomicU64::new(0),
-            lane_demote_verify: AtomicU64::new(0),
-            engines_held: AtomicU64::new(0),
-            cycles_simulated: AtomicU64::new(0),
-            instructions_committed: AtomicU64::new(0),
-            wall_nanos: AtomicU64::new(0),
-            worker_requests: (0..o.workers).map(|_| AtomicU64::new(0)).collect(),
+            programs: ShardedProgramCache::new(o.program_cache, o.workers),
+            engines: ShardedEnginePool::new(o.engines, o.workers),
+            slots: (0..o.workers).map(|_| Mutex::default()).collect(),
             shutdown: AtomicBool::new(false),
         }
     }
 
     /// Worker-thread bound (`--workers`).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.slots.len()
     }
 
     /// Has any client requested shutdown?
@@ -272,26 +237,18 @@ impl ServeShared {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Snapshot of the aggregate counters.
+    /// Update worker slot `slot`'s counter record.
+    fn tally(&self, slot: usize, f: impl FnOnce(&mut ServeCounters)) {
+        f(&mut lock(&self.slots[slot]));
+    }
+
+    /// The counters of every worker slot, merged.
     pub fn counters(&self) -> ServeCounters {
-        ServeCounters {
-            requests: self.requests.load(Ordering::Relaxed),
-            runs: self.runs.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            batched_runs: self.batched.load(Ordering::Relaxed),
-            lane_batched_runs: self.lane_batched.load(Ordering::Relaxed),
-            lane_divergence_peels: self.lane_peels.load(Ordering::Relaxed),
-            lane_epochs: self.lane_epochs.load(Ordering::Relaxed),
-            lane_replay_peels: self.lane_replay_peels.load(Ordering::Relaxed),
-            lane_demote_incompatible: self.lane_demote_incompatible.load(Ordering::Relaxed),
-            lane_demote_leader: self.lane_demote_leader.load(Ordering::Relaxed),
-            lane_demote_structure: self.lane_demote_structure.load(Ordering::Relaxed),
-            lane_demote_verify: self.lane_demote_verify.load(Ordering::Relaxed),
-            cycles_simulated: self.cycles_simulated.load(Ordering::Relaxed),
-            instructions_committed: self.instructions_committed.load(Ordering::Relaxed),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
+        let mut total = ServeCounters::default();
+        for slot in &self.slots {
+            total.merge(&lock(slot));
         }
+        total
     }
 
     /// Program-cache counters summed across shards.
@@ -305,39 +262,37 @@ impl ServeShared {
     /// held engines count as warm — `hits + misses == runs` and
     /// `warm` is every live engine, pooled or held.
     pub fn engine_stats(&self) -> PoolStats {
+        let c = self.counters();
         let mut s = self.engines.stats();
-        s.hits += self.batched.load(Ordering::Relaxed);
-        s.warm += self.engines_held.load(Ordering::Relaxed) as usize;
+        s.hits += c.batched_runs;
+        s.warm += c.engines_held as usize;
         s
     }
 
     /// Requests handled per worker slot (shard-balance observability).
     pub fn worker_request_counts(&self) -> Vec<u64> {
-        self.worker_requests
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        self.slots.iter().map(|s| lock(s).requests).collect()
     }
 }
 
 /// One serving worker: a handle on the shared state plus the reused
 /// request/response buffers, the config-affinity engine slot, and the
-/// lane-batch group scratch. Each connection (or the stdin stream) is
-/// driven by exactly one worker.
+/// lane-group scratch. Each connection (or the stdin stream) is driven
+/// by exactly one worker.
 #[derive(Debug)]
 pub struct Worker {
     shared: Arc<ServeShared>,
     slot: usize,
-    req: Request,
     key: String,
     sval: String,
     file_src: String,
     line_out: String,
     held: Option<PooledEngine>,
     batcher: LaneBatcher,
-    /// Parsed requests of the group being collected (slots reused).
+    /// Parsed requests of the current group; slot 0 holds the line
+    /// being served (slots reused).
     group: Vec<Request>,
-    /// The group's resolved configuration (leader's, shared by all).
+    /// The group's resolved configuration (slot 0's, shared by all).
     group_cfg: Option<ProcConfig>,
     /// One cache handle per group member (cleared between groups).
     group_programs: Vec<Arc<Program>>,
@@ -347,159 +302,133 @@ pub struct Worker {
 
 impl Worker {
     /// Create a worker bound to `slot` (an index below
-    /// [`ServeShared::workers`], used for the per-worker request
-    /// tally).
+    /// [`ServeShared::workers`], selecting its counter record).
     pub fn new(shared: Arc<ServeShared>, slot: usize) -> Self {
-        assert!(slot < shared.workers, "worker slot out of range");
+        assert!(slot < shared.workers(), "worker slot out of range");
         Worker {
             shared,
             slot,
-            req: Request::default(),
             key: String::new(),
             sval: String::new(),
             file_src: String::new(),
             line_out: String::new(),
             held: None,
             batcher: LaneBatcher::new(),
-            group: Vec::new(),
+            group: vec![Request::default()],
             group_cfg: None,
             group_programs: Vec::with_capacity(MAX_LANES),
             group_results: Vec::new(),
         }
     }
 
-    /// The shared serving state.
-    pub fn shared(&self) -> &Arc<ServeShared> {
-        &self.shared
-    }
-
     /// Return the held engine (if any) to the pool. Call at the end of
     /// a connection so the warm engine is available to other workers.
     pub fn release(&mut self) {
         if let Some(engine) = self.held.take() {
-            self.shared.engines_held.fetch_sub(1, Ordering::Relaxed);
+            self.shared.tally(self.slot, |c| {
+                c.engines_held = c.engines_held.saturating_sub(1)
+            });
             self.shared.engines.checkin(engine);
         }
     }
 
     /// Handle one request line and return the response line (no
     /// trailing newline). Never fails: malformed requests produce an
-    /// `{"ok":false,"error":…}` response.
+    /// `{"ok":false,"error":…}` response. A run request is served as a
+    /// lane group of one.
     pub fn handle_line(&mut self, line: &str) -> &str {
-        let started = Instant::now();
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.handle_inner(line) {
-            self.shared.errors.fetch_add(1, Ordering::Relaxed);
-            write_error_line(&mut self.line_out, &self.req, &e);
+        if let Some(started) = self.lead(line) {
+            self.execute_group(1, started);
         }
-        self.shared
-            .wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        &self.line_out
+        self.line_out.strip_suffix('\n').unwrap_or(&self.line_out)
     }
 
-    fn handle_inner(&mut self, line: &str) -> Result<(), String> {
+    /// Start serving `line` as group slot 0, counting it as one
+    /// request. A run request that resolves returns the instant it
+    /// started, ready for [`Worker::execute_group`]; anything else (a
+    /// `stats` or `shutdown` command, an error) is answered into
+    /// `line_out` here and returns `None`.
+    fn lead(&mut self, line: &str) -> Option<Instant> {
+        let started = Instant::now();
+        self.line_out.clear();
+        self.shared.tally(self.slot, |c| c.requests += 1);
+        let failed = match self.resolve(line) {
+            Ok(true) => return Some(started),
+            Ok(false) => false,
+            Err(e) => {
+                write_error_line(&mut self.line_out, &self.group[0], &e);
+                true
+            }
+        };
+        self.shared.tally(self.slot, |c| {
+            c.errors += u64::from(failed);
+            c.wall += started.elapsed();
+        });
+        None
+    }
+
+    /// Parse `line` into group slot 0 and act on it. `stats` and
+    /// `shutdown` are answered into `line_out` (`Ok(false)`). A run
+    /// request is resolved — its source, then its configuration, then
+    /// its program-cache entry — into the group's configuration and
+    /// first program (`Ok(true)`).
+    fn resolve(&mut self, line: &str) -> Result<bool, String> {
         let Worker {
             shared,
-            req,
             key,
             sval,
             file_src,
             line_out,
-            held,
+            group,
+            group_cfg,
+            group_programs,
             ..
         } = self;
+        let req = &mut group[0];
         parse_request(line, req, key, sval)?;
         match req.cmd {
             Cmd::Stats => {
-                line_out.clear();
+                line_out.push_str("{\"ok\":true,\"stats\":");
                 write_stats(line_out, shared);
-                Ok(())
+                line_out.push_str("}\n");
+                Ok(false)
             }
             Cmd::Shutdown => {
                 shared.request_shutdown();
-                line_out.clear();
-                line_out.push_str("{\"ok\":true,\"shutdown\":true}");
-                Ok(())
+                line_out.push_str("{\"ok\":true,\"shutdown\":true}\n");
+                Ok(false)
             }
             Cmd::Run => {
-                let src: &str = if req.has_program {
-                    if req.has_program_path {
-                        return Err("give either `program` or `program_path`, not both".into());
+                let src = match (req.has_program, req.has_program_path) {
+                    (true, false) => &req.program,
+                    (false, true) => {
+                        read_program(&req.program_path, file_src)?;
+                        &*file_src
                     }
-                    &req.program
-                } else if req.has_program_path {
-                    file_src.clear();
-                    let bytes = std::fs::read(&req.program_path)
-                        .map_err(|e| format!("cannot read {}: {e}", req.program_path))?;
-                    let text = std::str::from_utf8(&bytes)
-                        .map_err(|e| format!("{} is not UTF-8: {e}", req.program_path))?;
-                    file_src.push_str(text);
-                    file_src
-                } else {
-                    return Err("request needs a `program` or `program_path`".into());
+                    (true, true) => {
+                        return Err("give either `program` or `program_path`, not both".into())
+                    }
+                    (false, false) => {
+                        return Err("request needs a `program` or `program_path`".into())
+                    }
                 };
                 let cfg = cli::build_config(&req.opts)?;
                 let program = shared
                     .programs
                     .get_or_assemble(src, req.opts.regs)
                     .map_err(|e| e.to_string())?;
-                let pooled = affinity_checkout(shared, held, &cfg);
-                let run_started = Instant::now();
-                pooled.engine.run_reusing(&program, &mut pooled.result);
-                let run_wall = run_started.elapsed();
-                count_run(shared, &pooled.result);
-                line_out.clear();
-                let wall_us = req.timing.then_some(run_wall.as_micros() as u64);
-                write_run(line_out, req, &cfg, &pooled.result, wall_us);
-                Ok(())
+                *group_cfg = Some(cfg);
+                group_programs.clear();
+                group_programs.push(program);
+                Ok(true)
             }
         }
     }
 
-    /// Parse `line` into group slot 0 and decide whether it can lead a
-    /// lane-batch group: a well-formed run request carrying an inline
-    /// program. Anything else goes through the serial path untouched.
-    fn parse_group_leader(&mut self, line: &str) -> bool {
-        let Worker {
-            group, key, sval, ..
-        } = self;
-        if group.is_empty() {
-            group.push(Request::default());
-        }
-        let slot = &mut group[0];
-        parse_request(line, slot, key, sval).is_ok()
-            && slot.cmd == Cmd::Run
-            && slot.has_program
-            && !slot.has_program_path
-    }
-
-    /// Resolve the group leader's configuration and program. The two
-    /// failure modes differ in what they already counted: an invalid
-    /// configuration touched nothing (the caller can replay the line
-    /// through `handle_line` and get the identical error for free),
-    /// while a failed assembly has already been charged one
-    /// program-cache miss, so the caller must emit the error response
-    /// itself rather than replay the lookup.
-    fn resolve_group_leader(&mut self) -> Result<(), GroupLeaderError> {
-        let req = &self.group[0];
-        let cfg = cli::build_config(&req.opts).map_err(|_| GroupLeaderError::Config)?;
-        let program = self
-            .shared
-            .programs
-            .get_or_assemble(&req.program, req.opts.regs)
-            .map_err(|e| GroupLeaderError::Assemble(e.to_string()))?;
-        self.group_cfg = Some(cfg);
-        self.group_programs.clear();
-        self.group_programs.push(program);
-        Ok(())
-    }
-
     /// Try to admit `line` into the group as lane `n`. Admission
-    /// requires a run request with the same configuration, program
-    /// text, and register count as the leader; anything else is a
-    /// group breaker the caller reprocesses on its own. An admitted
+    /// requires a run request repeating the leader's inline program
+    /// text, register count and configuration; anything else is a
+    /// group breaker the caller serves on its own. An admitted
     /// member's cache lookup is a guaranteed hit on the entry the
     /// leader just resolved, so the accounting matches serving the
     /// line by itself.
@@ -521,6 +450,7 @@ impl Worker {
         let slot = &mut tail[0];
         if parse_request(line, slot, key, sval).is_err()
             || slot.cmd != Cmd::Run
+            || !leader.has_program
             || !slot.has_program
             || slot.has_program_path
             || slot.opts.regs != leader.opts.regs
@@ -528,34 +458,26 @@ impl Worker {
         {
             return false;
         }
-        let Ok(cfg) = cli::build_config(&slot.opts) else {
-            return false;
-        };
-        if Some(&cfg) != group_cfg.as_ref() {
+        if cli::build_config(&slot.opts).ok() != *group_cfg {
             return false;
         }
-        match shared
+        let Ok(program) = shared
             .programs
             .get_or_assemble(&slot.program, slot.opts.regs)
-        {
-            Ok(program) => {
-                group_programs.push(program);
-                true
-            }
-            Err(_) => false,
-        }
+        else {
+            return false;
+        };
+        group_programs.push(program);
+        true
     }
 
-    /// Execute the collected group of `n` resolved same-config,
-    /// same-program run requests — one lane batch for `n >= 2`, the
-    /// plain serial run for a group of one — and serialise every
-    /// response, in request order and newline-terminated, into
-    /// `line_out`. Counter accounting is exactly what serving the
-    /// lines one at a time would have produced; the lane counters
-    /// additionally record how many results the lock-step pass
-    /// delivered and how many lanes peeled.
-    fn execute_group(&mut self, n: usize) {
-        let started = Instant::now();
+    /// Run the resolved group of `n` same-config, same-program run
+    /// requests as one lane batch (a plain engine run for `n == 1`) and
+    /// append every response, in request order and newline-terminated,
+    /// to `line_out`. The counters change exactly as serving the lines
+    /// one at a time would change them, plus the lane counters; they
+    /// reach the worker's record in one update.
+    fn execute_group(&mut self, n: usize, started: Instant) {
         let Worker {
             shared,
             slot,
@@ -569,157 +491,106 @@ impl Worker {
             ..
         } = self;
         let cfg = group_cfg.take().expect("group leader resolved");
-        shared.requests.fetch_add(n as u64, Ordering::Relaxed);
-        shared.worker_requests[*slot].fetch_add(n as u64, Ordering::Relaxed);
-        let pooled = affinity_checkout(shared, held, &cfg);
-        line_out.clear();
-        if n == 1 {
-            let run_started = Instant::now();
-            pooled
-                .engine
-                .run_reusing(&group_programs[0], &mut pooled.result);
-            let wall_us = group[0]
-                .timing
-                .then_some(run_started.elapsed().as_micros() as u64);
-            count_run(shared, &pooled.result);
-            write_run(line_out, &group[0], &cfg, &pooled.result, wall_us);
-            line_out.push('\n');
-        } else {
-            // The members after the leader ride the held engine, just
-            // as they would have one line at a time.
-            shared.batched.fetch_add(n as u64 - 1, Ordering::Relaxed);
-            while group_results.len() < n {
-                group_results.push(RunResult::default());
-            }
-            let before = *batcher.stats();
-            let run_started = Instant::now();
-            batcher.run_batch(
-                &mut pooled.engine,
-                &group_programs[..n],
-                &mut group_results[..n],
-            );
-            let share = run_started.elapsed() / n as u32;
-            let after = *batcher.stats();
-            shared
-                .lane_batched
-                .fetch_add(after.lane_runs - before.lane_runs, Ordering::Relaxed);
-            shared
-                .lane_peels
-                .fetch_add(after.peels - before.peels, Ordering::Relaxed);
-            shared
-                .lane_epochs
-                .fetch_add(after.epochs - before.epochs, Ordering::Relaxed);
-            shared
-                .lane_replay_peels
-                .fetch_add(after.replay_peels - before.replay_peels, Ordering::Relaxed);
-            shared.lane_demote_incompatible.fetch_add(
-                after.fallback_incompatible - before.fallback_incompatible,
-                Ordering::Relaxed,
-            );
-            shared.lane_demote_leader.fetch_add(
-                after.fallback_leader - before.fallback_leader,
-                Ordering::Relaxed,
-            );
-            shared.lane_demote_structure.fetch_add(
-                after.fallback_structure - before.fallback_structure,
-                Ordering::Relaxed,
-            );
-            shared.lane_demote_verify.fetch_add(
-                after.fallback_verify - before.fallback_verify,
-                Ordering::Relaxed,
-            );
-            for (req, r) in group[..n].iter().zip(group_results.iter()) {
-                count_run(shared, r);
-                let wall_us = req.timing.then_some(share.as_micros() as u64);
-                write_run(line_out, req, &cfg, r, wall_us);
-                line_out.push('\n');
-            }
+        // The leader was counted when it was read; the members after
+        // it ride the engine it checks out, just as they would have
+        // one line at a time.
+        let mut c = ServeCounters {
+            requests: n as u64 - 1,
+            batched_runs: n as u64 - 1,
+            ..ServeCounters::default()
+        };
+        let pooled = affinity_checkout(shared, held, &cfg, &mut c);
+        if group_results.len() < n {
+            group_results.resize_with(n, RunResult::default);
         }
-        shared
-            .wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// The group leader failed to assemble after its cache lookup was
-    /// already counted: emit the error response (newline-terminated,
-    /// into `line_out`) with the same counter effects `handle_line`
-    /// would have had.
-    fn group_leader_error(&mut self, err: &str) {
-        let started = Instant::now();
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.worker_requests[self.slot].fetch_add(1, Ordering::Relaxed);
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
-        write_error_line(&mut self.line_out, &self.group[0], err);
-        self.line_out.push('\n');
-        self.shared
-            .wall_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let before = *batcher.stats();
+        let run_started = Instant::now();
+        batcher.run_batch(
+            &mut pooled.engine,
+            &group_programs[..n],
+            &mut group_results[..n],
+        );
+        let share = run_started.elapsed() / n as u32;
+        c.lanes = batcher.stats().delta_since(&before);
+        for (req, r) in group[..n].iter().zip(&group_results[..n]) {
+            c.runs += 1;
+            c.cycles_simulated += r.cycles;
+            c.instructions_committed += r.stats.committed;
+            let wall_us = req.timing.then_some(share.as_micros() as u64);
+            write_run(line_out, req, &cfg, r, wall_us);
+            line_out.push('\n');
+        }
+        c.wall = started.elapsed();
+        shared.tally(*slot, |s| s.merge(&c));
     }
 }
 
-/// Why a would-be group leader could not be resolved.
-enum GroupLeaderError {
-    /// `build_config` rejected the options (no shared state touched).
-    Config,
-    /// Assembly failed (the program-cache miss is already counted).
-    Assemble(String),
-}
-
-/// Config-affinity engine selection, shared by the serial path and the
-/// lane-batch group path: reuse the held engine when its configuration
-/// matches (counted as a batched run), otherwise swap it through the
-/// pool.
+/// Config-affinity engine selection: reuse the held engine when its
+/// configuration matches (counted as a batched run), otherwise swap it
+/// through the pool.
 fn affinity_checkout<'a>(
     shared: &ServeShared,
     held: &'a mut Option<PooledEngine>,
     cfg: &ProcConfig,
+    c: &mut ServeCounters,
 ) -> &'a mut PooledEngine {
     match held {
-        Some(h) if h.engine.config() == cfg => {
-            shared.batched.fetch_add(1, Ordering::Relaxed);
-        }
+        Some(h) if h.engine.config() == cfg => c.batched_runs += 1,
         _ => {
-            if let Some(prev) = held.take() {
-                shared.engines_held.fetch_sub(1, Ordering::Relaxed);
-                shared.engines.checkin(prev);
+            match held.take() {
+                Some(prev) => shared.engines.checkin(prev),
+                None => c.engines_held += 1,
             }
             *held = Some(shared.engines.checkout(cfg));
-            shared.engines_held.fetch_add(1, Ordering::Relaxed);
         }
     }
     held.as_mut().expect("engine held for this config")
 }
 
-/// Post-run counter roll-up, shared by the serial and group paths.
-fn count_run(shared: &ServeShared, r: &RunResult) {
-    shared.runs.fetch_add(1, Ordering::Relaxed);
-    shared
-        .cycles_simulated
-        .fetch_add(r.cycles, Ordering::Relaxed);
-    shared
-        .instructions_committed
-        .fetch_add(r.stats.committed, Ordering::Relaxed);
+/// Read a `program_path` source into `out`. Only a regular file of at
+/// most [`MAX_LINE_BYTES`] (the cap an inline program has) is read, so
+/// a device, a FIFO or an oversized file is an error, never an
+/// unbounded read or a blocked worker.
+fn read_program(path: &str, out: &mut String) -> Result<(), String> {
+    let cannot = |e: std::io::Error| format!("cannot read {path}: {e}");
+    // Checked before opening: opening a FIFO blocks until a writer
+    // appears.
+    if !std::fs::metadata(path).map_err(cannot)?.is_file() {
+        return Err(format!("{path} is not a regular file"));
+    }
+    out.clear();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_LINE_BYTES as u64 + 1).read_to_string(out))
+        .map_err(cannot)?;
+    if out.len() > MAX_LINE_BYTES {
+        return Err(format!("{path} exceeds {MAX_LINE_BYTES} bytes"));
+    }
+    Ok(())
 }
 
-/// The `{"ok":false,…}` error response, shared by `handle_line` and
-/// the group leader's resolution-failure path.
-fn write_error_line(out: &mut String, req: &Request, err: &str) {
-    out.clear();
-    out.push_str("{\"ok\":false,");
+/// Open a response object: `{"ok":…,` and the request's `id`, if any.
+fn write_head(out: &mut String, ok: bool, req: &Request) {
+    let _ = write!(out, "{{\"ok\":{ok},");
     if req.has_id {
         out.push_str("\"id\":\"");
         escape_into(out, &req.id);
         out.push_str("\",");
     }
+}
+
+/// The newline-terminated `{"ok":false,…}` error response.
+fn write_error_line(out: &mut String, req: &Request, err: &str) {
+    out.clear();
+    write_head(out, false, req);
     out.push_str("\"error\":\"");
     escape_into(out, err);
-    out.push_str("\"}");
+    out.push_str("\"}\n");
 }
 
 /// The single-threaded serving facade: one [`Worker`] over its own
-/// shared state (one shard each). Drives stdin mode and serves as the
-/// serial baseline the concurrent path is pinned byte-identical
-/// against.
+/// shared state (one shard each). Serves as the serial baseline the
+/// concurrent path is pinned byte-identical against; read its counters
+/// through [`Server::shared`].
 #[derive(Debug)]
 pub struct Server {
     worker: Worker,
@@ -737,44 +608,15 @@ impl Server {
             program_cache,
             engines,
             workers: 1,
-            shards: 1,
         };
-        Server::from_shared(Arc::new(ServeShared::new(&o)))
-    }
-
-    /// Create the stdin-mode server over externally built shared state
-    /// (slot 0).
-    pub fn from_shared(shared: Arc<ServeShared>) -> Self {
         Server {
-            worker: Worker::new(shared, 0),
+            worker: Worker::new(Arc::new(ServeShared::new(&o)), 0),
         }
     }
 
     /// The shared serving state (counters, cache/pool stats).
     pub fn shared(&self) -> &Arc<ServeShared> {
         &self.worker.shared
-    }
-
-    /// Snapshot of the aggregate counters.
-    pub fn counters(&self) -> ServeCounters {
-        self.worker.shared.counters()
-    }
-
-    /// Program-cache counters (hits/misses/evictions/entries).
-    pub fn program_stats(&self) -> CacheStats {
-        self.worker.shared.program_stats()
-    }
-
-    /// Engine-pool counters; affinity-batched runs count as hits and
-    /// the held engine counts as warm (see
-    /// [`ServeShared::engine_stats`]).
-    pub fn engine_stats(&self) -> PoolStats {
-        self.worker.shared.engine_stats()
-    }
-
-    /// Has a shutdown request been handled?
-    pub fn shutdown_requested(&self) -> bool {
-        self.worker.shared.is_shutdown()
     }
 
     /// Handle one request line and return the response line (no
@@ -788,50 +630,14 @@ impl Server {
     pub fn release(&mut self) {
         self.worker.release()
     }
-
-    /// The one-line human-readable summary printed on shutdown/EOF.
-    pub fn final_stats_line(&self) -> String {
-        final_summary(&self.worker.shared)
-    }
 }
 
-/// The one-line human-readable summary printed to stderr exactly once
-/// when the serving loop exits.
-pub fn final_summary(shared: &ServeShared) -> String {
-    let c = shared.counters();
-    let pc = shared.program_stats();
-    let ep = shared.engine_stats();
-    format!(
-        "usim serve: {} requests ({} runs, {} errors, {} disconnects), \
-         program cache {} hits / {} misses / {} evictions, \
-         engine pool {} hits / {} misses / {} evictions ({} batched), \
-         {} lane-batched runs over {} epochs \
-         ({} divergence peels, {} replay peels; demoted \
-         {} incompatible / {} leader / {} structure / {} verify), \
-         {} cycles simulated, {} instructions committed, {:.3} s busy",
-        c.requests,
-        c.runs,
-        c.errors,
-        c.disconnects,
-        pc.hits,
-        pc.misses,
-        pc.evictions,
-        ep.hits,
-        ep.misses,
-        ep.evictions,
-        c.batched_runs,
-        c.lane_batched_runs,
-        c.lane_epochs,
-        c.lane_divergence_peels,
-        c.lane_replay_peels,
-        c.lane_demote_incompatible,
-        c.lane_demote_leader,
-        c.lane_demote_structure,
-        c.lane_demote_verify,
-        c.cycles_simulated,
-        c.instructions_committed,
-        c.wall.as_secs_f64(),
-    )
+/// The line printed to stderr exactly once when the serving loop
+/// exits: `usim serve: ` followed by the `{"cmd":"stats"}` object.
+pub fn shutdown_line(shared: &ServeShared) -> String {
+    let mut line = String::from("usim serve: ");
+    write_stats(&mut line, shared);
+    line
 }
 
 /// Serialise a run response. Identical requests must produce
@@ -845,12 +651,7 @@ fn write_run(
     r: &RunResult,
     wall_us: Option<u64>,
 ) {
-    out.push_str("{\"ok\":true,");
-    if req.has_id {
-        out.push_str("\"id\":\"");
-        escape_into(out, &req.id);
-        out.push_str("\",");
-    }
+    write_head(out, true, req);
     let arch = if cfg.cluster == 1 {
         "usi"
     } else if cfg.cluster == cfg.window {
@@ -878,14 +679,7 @@ fn write_run(
         r.stats.store_forwards,
     );
     if req.registers {
-        out.push_str(",\"registers\":[");
-        for (i, v) in r.regs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push(']');
+        write_list(out, "registers", &r.regs);
     }
     if let Some(us) = wall_us {
         let _ = write!(out, ",\"wall_us\":{us}");
@@ -893,74 +687,75 @@ fn write_run(
     out.push('}');
 }
 
+/// Serialise the stats object: the one place that names the serving
+/// counters, for both `{"cmd":"stats"}` and [`shutdown_line`].
 fn write_stats(out: &mut String, shared: &ServeShared) {
     let c = shared.counters();
     let pc = shared.program_stats();
     let ep = shared.engine_stats();
-    let _ = write!(
+    let cache_shards = shared.programs.shard_stats();
+    let pool_shards = shared.engines.shard_stats();
+    let fields: [(&str, u64); 26] = [
+        ("requests", c.requests),
+        ("runs", c.runs),
+        ("errors", c.errors),
+        ("disconnects", c.disconnects),
+        ("batched_runs", c.batched_runs),
+        ("lane_batched_runs", c.lanes.lane_runs),
+        ("lane_divergence_peels", c.lanes.peels),
+        ("lane_epochs", c.lanes.epochs),
+        ("lane_replay_peels", c.lanes.replay_peels),
+        ("lane_demote_incompatible", c.lanes.fallback_incompatible),
+        ("lane_demote_leader", c.lanes.fallback_leader),
+        ("lane_demote_structure", c.lanes.fallback_structure),
+        ("lane_demote_verify", c.lanes.fallback_verify),
+        ("program_cache_hits", pc.hits),
+        ("program_cache_misses", pc.misses),
+        ("program_cache_evictions", pc.evictions),
+        ("programs_cached", pc.entries as u64),
+        ("engine_pool_hits", ep.hits),
+        ("engine_pool_misses", ep.misses),
+        ("engine_pool_evictions", ep.evictions),
+        ("engines_warm", ep.warm as u64),
+        ("cycles_simulated", c.cycles_simulated),
+        ("instructions_committed", c.instructions_committed),
+        ("workers", shared.workers() as u64),
+        ("cache_shards", cache_shards.len() as u64),
+        ("pool_shards", pool_shards.len() as u64),
+    ];
+    out.push('{');
+    for (key, v) in fields {
+        let _ = write!(out, "\"{key}\":{v},");
+    }
+    let _ = write!(out, "\"wall_s\":{:.6}", c.wall.as_secs_f64());
+    write_list(out, "worker_requests", shared.worker_request_counts());
+    write_list(
         out,
-        "{{\"ok\":true,\"stats\":{{\"requests\":{},\"runs\":{},\"errors\":{},\
-         \"disconnects\":{},\"batched_runs\":{},\
-         \"lane_batched_runs\":{},\"lane_divergence_peels\":{},\
-         \"lane_epochs\":{},\"lane_replay_peels\":{},\
-         \"lane_demote_incompatible\":{},\"lane_demote_leader\":{},\
-         \"lane_demote_structure\":{},\"lane_demote_verify\":{},\
-         \"program_cache_hits\":{},\"program_cache_misses\":{},\
-         \"program_cache_evictions\":{},\"programs_cached\":{},\
-         \"engine_pool_hits\":{},\"engine_pool_misses\":{},\
-         \"engine_pool_evictions\":{},\"engines_warm\":{},\
-         \"cycles_simulated\":{},\"instructions_committed\":{},\
-         \"wall_s\":{:.6},\"workers\":{},\"cache_shards\":{},\"pool_shards\":{}",
-        c.requests,
-        c.runs,
-        c.errors,
-        c.disconnects,
-        c.batched_runs,
-        c.lane_batched_runs,
-        c.lane_divergence_peels,
-        c.lane_epochs,
-        c.lane_replay_peels,
-        c.lane_demote_incompatible,
-        c.lane_demote_leader,
-        c.lane_demote_structure,
-        c.lane_demote_verify,
-        pc.hits,
-        pc.misses,
-        pc.evictions,
-        pc.entries,
-        ep.hits,
-        ep.misses,
-        ep.evictions,
-        ep.warm,
-        c.cycles_simulated,
-        c.instructions_committed,
-        c.wall.as_secs_f64(),
-        shared.workers,
-        shared.programs.num_shards(),
-        shared.engines.num_shards(),
+        "cache_shard_requests",
+        cache_shards.iter().map(|s| s.hits + s.misses),
     );
-    out.push_str(",\"worker_requests\":[");
-    for (i, w) in shared.worker_requests.iter().enumerate() {
+    write_list(
+        out,
+        "pool_shard_requests",
+        pool_shards.iter().map(|s| s.hits + s.misses),
+    );
+    out.push('}');
+}
+
+/// Append `,"key":[v0,v1,…]`.
+fn write_list<T: std::fmt::Display>(
+    out: &mut String,
+    key: &str,
+    values: impl IntoIterator<Item = T>,
+) {
+    let _ = write!(out, ",\"{key}\":[");
+    for (i, v) in values.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", w.load(Ordering::Relaxed));
+        let _ = write!(out, "{v}");
     }
-    out.push_str("],\"cache_shard_requests\":[");
-    for (i, s) in shared.programs.shard_stats().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", s.hits + s.misses);
-    }
-    out.push_str("],\"pool_shard_requests\":[");
-    for (i, s) in shared.engines.shard_stats().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", s.hits + s.misses);
-    }
-    out.push_str("]}}");
+    out.push(']');
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -1264,7 +1059,12 @@ fn parse_options(
             "fetch_width" => o.fetch_width = Some(as_usize(p.number()?, "fetch_width")?),
             "per_hop" => o.per_hop = Some(as_int(p.number()?, "per_hop")?),
             "regs" => o.regs = as_usize(p.number()?, "regs")?,
-            "max_cycles" => o.max_cycles = as_int(p.number()?, "max_cycles")?,
+            "max_cycles" => {
+                o.max_cycles = as_int(p.number()?, "max_cycles")?;
+                if o.max_cycles > MAX_REQUEST_CYCLES {
+                    return Err(format!("max_cycles must be at most {MAX_REQUEST_CYCLES}"));
+                }
+            }
             other => return Err(format!("unknown option `{other}`")),
         }
         match p.peek() {
@@ -1370,22 +1170,18 @@ fn buffered_line<R: BufRead>(reader: &mut R, rest: &mut usize, buf: &mut Vec<u8>
 /// broken pipe) bump the `disconnects` counter and close only this
 /// stream — the shared state and every other connection stay healthy.
 ///
-/// When the client pipelines, consecutive already-buffered run
-/// requests for one configuration and program are served as a single
-/// lane batch (see the module docs); every response is byte-identical
-/// to serving the lines one at a time, and a group's responses are
-/// written and flushed together. A line that breaks a group (different
-/// request, malformed, a `stats`/`shutdown` command) is stashed and
-/// served next, in order. A request/response client never has a second
-/// line buffered, so it is served exactly as before.
+/// Every line is served through [`Worker::lead`]; a run request then
+/// gathers the already-buffered lines that can join its lane group
+/// (see the module docs) and the group's responses are written and
+/// flushed together. A line that breaks a group (different request,
+/// malformed, a `stats`/`shutdown` command) is stashed and served
+/// next, in order.
 fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut writer: W) {
     let mut line: Vec<u8> = Vec::new();
     let mut stash: Vec<u8> = Vec::new();
     let mut have_stash = false;
     let mut rest = 0usize;
-    let disconnect = |worker: &Worker| {
-        worker.shared.disconnects.fetch_add(1, Ordering::Relaxed);
-    };
+    let disconnect = |worker: &Worker| worker.shared.tally(worker.slot, |c| c.disconnects += 1);
     loop {
         if have_stash {
             std::mem::swap(&mut line, &mut stash);
@@ -1409,7 +1205,7 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
                 }
                 LineRead::TooLong => {
                     // Stop buffering: answer once and close this stream.
-                    worker.shared.errors.fetch_add(1, Ordering::Relaxed);
+                    worker.shared.tally(worker.slot, |c| c.errors += 1);
                     let _ = writer
                         .write_all(LINE_TOO_LONG.as_bytes())
                         .and_then(|()| writer.flush());
@@ -1427,70 +1223,34 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
             continue;
         }
 
-        // Lane-batch grouping: engages only when at least one more
-        // complete line is already buffered behind the leader.
-        if rest > 0 && worker.parse_group_leader(trimmed) {
-            match worker.resolve_group_leader() {
-                Ok(()) => {
-                    let mut n = 1;
-                    let mut poisoned = false;
-                    while n < MAX_LANES {
-                        if !buffered_line(&mut reader, &mut rest, &mut stash) {
-                            break;
-                        }
-                        let Ok(mtext) = std::str::from_utf8(&stash) else {
-                            // Serve the group, then fail the stream
-                            // exactly as the serial loop would have on
-                            // reaching this line.
-                            poisoned = true;
-                            break;
-                        };
-                        let mtrim = mtext.trim();
-                        if mtrim.is_empty() {
-                            continue;
-                        }
-                        if worker.try_join_group(n, mtrim) {
-                            n += 1;
-                        } else {
-                            have_stash = true;
-                            break;
-                        }
-                    }
-                    worker.execute_group(n);
-                    if writer.write_all(worker.line_out.as_bytes()).is_err()
-                        || writer.flush().is_err()
-                    {
-                        disconnect(worker);
-                        break;
-                    }
-                    if poisoned {
-                        disconnect(worker);
-                        break;
-                    }
-                    if worker.shared.is_shutdown() {
-                        break;
-                    }
+        let mut poisoned = false;
+        if let Some(started) = worker.lead(trimmed) {
+            // Members join only while complete lines already sit in
+            // the read buffer behind the leader.
+            let mut n = 1;
+            while n < MAX_LANES && buffered_line(&mut reader, &mut rest, &mut stash) {
+                let Ok(mtext) = std::str::from_utf8(&stash) else {
+                    // Serve the group, then fail the stream exactly as
+                    // reaching this line on its own would have.
+                    poisoned = true;
+                    break;
+                };
+                let mtrim = mtext.trim();
+                if mtrim.is_empty() {
                     continue;
                 }
-                Err(GroupLeaderError::Assemble(e)) => {
-                    worker.group_leader_error(&e);
-                    if writer.write_all(worker.line_out.as_bytes()).is_err()
-                        || writer.flush().is_err()
-                    {
-                        disconnect(worker);
-                        break;
-                    }
-                    continue;
+                if !worker.try_join_group(n, mtrim) {
+                    have_stash = true;
+                    break;
                 }
-                // An invalid configuration touched no shared state:
-                // the serial path below re-derives the same error.
-                Err(GroupLeaderError::Config) => {}
+                n += 1;
             }
+            worker.execute_group(n, started);
         }
-
-        worker.handle_line(trimmed);
-        worker.line_out.push('\n');
-        if writer.write_all(worker.line_out.as_bytes()).is_err() || writer.flush().is_err() {
+        if writer.write_all(worker.line_out.as_bytes()).is_err()
+            || writer.flush().is_err()
+            || poisoned
+        {
             // Downstream closed the pipe; count it and stop quietly
             // like `usim run | head` does.
             disconnect(worker);
@@ -1503,8 +1263,7 @@ fn stream_loop<R: BufRead, W: Write>(worker: &mut Worker, mut reader: R, mut wri
 }
 
 /// Run the serving loop for `reader`/`writer` until EOF or a shutdown
-/// request (the stdin mode of `usim serve`, and the serial baseline
-/// for tests).
+/// request (the serial baseline for tests).
 pub fn serve_stream<R: BufRead, W: Write>(server: &mut Server, reader: R, writer: W) {
     stream_loop(&mut server.worker, reader, writer);
 }
@@ -1516,7 +1275,7 @@ pub fn serve_stream<R: BufRead, W: Write>(server: &mut Server, reader: R, writer
 pub fn serve_socket(shared: &Arc<ServeShared>, path: &str) -> Result<(), String> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path).map_err(|e| format!("cannot bind {path}: {e}"))?;
-    let workers = shared.workers;
+    let workers = shared.workers();
     // Free worker slots (a stack) plus the condvar the acceptor waits
     // on when every slot is busy — this is the `--workers N` bound.
     let free: Arc<(Mutex<Vec<usize>>, Condvar)> =
@@ -1560,7 +1319,7 @@ pub fn serve_socket(shared: &Arc<ServeShared>, path: &str) -> Result<(), String>
             let _ = h.join();
         }
         let Ok(read_half) = conn.try_clone() else {
-            shared.disconnects.fetch_add(1, Ordering::Relaxed);
+            shared.tally(slot, |c| c.disconnects += 1);
             let (slots, cv) = &*free;
             lock(slots).push(slot);
             cv.notify_one();
@@ -1578,14 +1337,12 @@ pub fn serve_socket(shared: &Arc<ServeShared>, path: &str) -> Result<(), String>
                     Ok(rd) => {
                         stream_loop(&mut worker, std::io::BufReader::new(rd), &conn);
                     }
-                    Err(_) => {
-                        shared.disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Err(_) => shared.tally(slot, |c| c.disconnects += 1),
                 }
                 worker.release();
             }));
             if result.is_err() {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
+                shared.tally(slot, |c| c.errors += 1);
             }
             lock(&conns)[slot] = None;
             if shared.is_shutdown() {
@@ -1602,7 +1359,7 @@ pub fn serve_socket(shared: &Arc<ServeShared>, path: &str) -> Result<(), String>
         }));
     }
     // Stop accepting; drain whoever is still connected and join every
-    // worker before the (single) summary prints.
+    // worker before the (single) shutdown line prints.
     for c in lock(&conns).iter_mut() {
         if let Some(c) = c.take() {
             let _ = c.shutdown(Shutdown::Both);
@@ -1616,34 +1373,27 @@ pub fn serve_socket(shared: &Arc<ServeShared>, path: &str) -> Result<(), String>
 }
 
 /// Entry point for `usim serve`: dispatch on stdin/stdout or a Unix
-/// socket, and print the final counter summary to stderr exactly once
-/// on exit.
+/// socket, and print [`shutdown_line`] to stderr exactly once on exit.
 pub fn serve(o: &ServeOptions) -> Result<(), String> {
     let shared = Arc::new(ServeShared::new(o));
     match &o.socket {
         None => {
             // stdin is one stream: a single worker serves it.
-            let mut server = Server::from_shared(Arc::clone(&shared));
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve_stream(&mut server, stdin.lock(), stdout.lock());
-            server.release();
+            let mut worker = Worker::new(Arc::clone(&shared), 0);
+            stream_loop(
+                &mut worker,
+                std::io::stdin().lock(),
+                std::io::stdout().lock(),
+            );
+            worker.release();
         }
         Some(path) => {
-            eprintln!(
-                "usim serve: listening on {path} ({} worker{}, {} cache shard{})",
-                shared.workers,
-                if shared.workers == 1 { "" } else { "s" },
-                shared.programs.num_shards(),
-                if shared.programs.num_shards() == 1 {
-                    ""
-                } else {
-                    "s"
-                },
-            );
+            let n = shared.workers();
+            let s = if n == 1 { "" } else { "s" };
+            eprintln!("usim serve: listening on {path} ({n} worker{s})");
             serve_socket(&shared, path)?;
         }
     }
-    eprintln!("{}", final_summary(&shared));
+    eprintln!("{}", shutdown_line(&shared));
     Ok(())
 }

@@ -147,9 +147,8 @@ impl JsonPoint {
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     experiment: String,
-    /// Host SIMD capability and the dispatch level actually in effect
-    /// when the report was started — stamped into every artifact so
-    /// numbers from different hosts (or forced-SWAR runs) are
+    /// Host SIMD capability and the level the lane kernels use —
+    /// stamped into every artifact so numbers from different hosts are
     /// comparable at a glance.
     simd_detected: &'static str,
     simd_active: &'static str,
@@ -159,7 +158,7 @@ pub struct JsonReport {
 
 impl JsonReport {
     /// Start an empty report for the named experiment. The host's
-    /// detected SIMD level and the currently active dispatch level are
+    /// detected SIMD level and the level the lane kernels use are
     /// recorded at construction time.
     pub fn new(experiment: &str) -> Self {
         JsonReport {

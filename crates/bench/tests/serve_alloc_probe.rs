@@ -119,7 +119,7 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
     steady(&mut server);
     steady(&mut server);
 
-    let runs_before = server.counters().runs;
+    let runs_before = server.shared().counters().runs;
     let guard = ProbeGuard::arm();
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..50 {
@@ -132,12 +132,12 @@ fn serve_request_loop_allocates_nothing_in_steady_state() {
         0,
         "serve request loop allocated in steady state"
     );
-    assert_eq!(server.counters().runs - runs_before, 200);
+    assert_eq!(server.shared().counters().runs - runs_before, 200);
     // Every probed request was a cache/pool hit (the fan shares the
     // loop kernel's configuration, so it is a third program but not a
     // third engine).
-    assert_eq!(server.program_stats().misses, 3);
-    assert_eq!(server.engine_stats().misses, 2);
+    assert_eq!(server.shared().program_stats().misses, 3);
+    assert_eq!(server.shared().engine_stats().misses, 2);
 }
 
 #[test]
@@ -150,7 +150,6 @@ fn concurrent_workers_allocate_nothing_in_steady_state() {
         program_cache: 32,
         engines: 32,
         workers: WORKERS,
-        shards: WORKERS,
     }));
     // Each worker gets its own two programs and two configurations
     // (a worker-specific predictor size), so warm-up deterministically

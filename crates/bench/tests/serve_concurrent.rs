@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ultrascalar_bench::cli::ServeOptions;
-use ultrascalar_bench::serve::{serve_socket, ServeShared, Server};
+use ultrascalar_bench::serve::{serve_socket, shutdown_line, ServeShared, Server};
 
 fn sock_path(tag: &str) -> String {
     std::env::temp_dir()
@@ -99,7 +99,6 @@ fn concurrent_clients_get_byte_identical_responses() {
             program_cache: 64,
             engines: 16,
             workers: 4,
-            shards: 4,
         },
     );
     let clients: Vec<_> = (0..CLIENTS)
@@ -133,7 +132,44 @@ fn concurrent_clients_get_byte_identical_responses() {
     assert_eq!(c.errors, 0);
     assert_eq!(c.disconnects, 0);
     assert_eq!(c.runs, (CLIENTS * client_script(0).len()) as u64);
+    // The merged record is the sum of the per-worker records.
+    assert_eq!(c.requests, (CLIENTS * client_script(0).len()) as u64);
+    assert_eq!(
+        c.requests,
+        shared.worker_request_counts().iter().sum::<u64>()
+    );
+
+    // The shutdown line renders the same stats object as the last
+    // `{"cmd":"stats"}` answer: same keys, same order.
+    let stats = {
+        let mut conn = connect(&path);
+        conn.write_all(b"{\"cmd\":\"stats\"}\n")
+            .expect("send stats");
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).expect("stats");
+        line
+    };
     shutdown_server(&path, handle);
+    let stats_obj = stats
+        .trim_end()
+        .strip_prefix("{\"ok\":true,\"stats\":")
+        .and_then(|s| s.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("stats response: {stats}"));
+    let last = shutdown_line(&shared);
+    let last_obj = last
+        .strip_prefix("usim serve: ")
+        .unwrap_or_else(|| panic!("shutdown line: {last}"));
+    assert!(json_keys(stats_obj).len() > 20, "{stats_obj}");
+    assert_eq!(json_keys(last_obj), json_keys(stats_obj));
+    assert!(last_obj.contains("\"errors\":0,"), "{last_obj}");
+}
+
+/// The keys of a flat JSON object, in order (values never contain
+/// quotes here).
+fn json_keys(obj: &str) -> Vec<&str> {
+    obj.match_indices("\":")
+        .map(|(end, _)| &obj[obj[..end].rfind('"').expect("opening quote") + 1..end])
+        .collect()
 }
 
 #[test]
@@ -145,7 +181,6 @@ fn disconnect_mid_line_closes_only_that_connection() {
             program_cache: 8,
             engines: 4,
             workers: 2,
-            shards: 2,
         },
     );
 
@@ -207,17 +242,16 @@ fn disconnect_mid_line_closes_only_that_connection() {
 
 #[test]
 fn contended_pool_evicts_and_recovers() {
-    // Engine capacity 2 against 4 configurations from 4 clients: the
-    // pool must evict under contention and every response must still
-    // be correct.
+    // Four pool shards of one engine each (one per worker) against 8
+    // configurations from 4 clients: the pool must evict under
+    // contention and every response must still be correct.
     let (path, shared, handle) = spawn_server(
         "evict",
         ServeOptions {
             socket: None,
             program_cache: 8,
-            engines: 2,
+            engines: 4,
             workers: 4,
-            shards: 1,
         },
     );
     let clients: Vec<_> = (0..4)
@@ -229,7 +263,7 @@ fn contended_pool_evicts_and_recovers() {
                 let mut writer = stream;
                 let mut line = String::new();
                 for i in 0..12 {
-                    let window = 8 << ((c + i) % 4);
+                    let window = 8 * (1 + (c + i) % 8);
                     let req = format!(
                         r#"{{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{{"arch":"usi","window":{window}}}}}"#
                     );
@@ -248,7 +282,7 @@ fn contended_pool_evicts_and_recovers() {
     }
     assert!(
         shared.engine_stats().evictions > 0,
-        "4 configs against capacity 2 must evict"
+        "8 configs against 4 shards of 1 must evict"
     );
     assert_eq!(shared.counters().errors, 0);
     shutdown_server(&path, handle);
@@ -263,7 +297,6 @@ fn shutdown_drains_and_unblocks_idle_clients() {
             program_cache: 8,
             engines: 4,
             workers: 3,
-            shards: 2,
         },
     );
 

@@ -2,7 +2,7 @@
 //! byte-identical repeats, cache/pool accounting, strict error
 //! handling, and the stream driver.
 
-use ultrascalar_bench::serve::{serve_stream, Server};
+use ultrascalar_bench::serve::{serve_stream, shutdown_line, Server};
 
 const PROG: &str =
     r#"{"program":"li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n","options":{"window":8}}"#;
@@ -14,19 +14,25 @@ fn repeated_request_is_byte_identical_and_hits_caches() {
     assert!(first.starts_with("{\"ok\":true,"), "{first}");
     assert!(first.contains("\"halted\":true"), "{first}");
     assert!(first.contains("\"instructions\":4"), "{first}");
-    assert_eq!((s.program_stats().hits, s.program_stats().misses), (0, 1));
-    assert_eq!((s.engine_stats().hits, s.engine_stats().misses), (0, 1));
+    let (pc, ep) = (s.shared().program_stats(), s.shared().engine_stats());
+    assert_eq!((pc.hits, pc.misses), (0, 1));
+    assert_eq!((ep.hits, ep.misses), (0, 1));
     for _ in 0..3 {
         let again = s.handle_line(PROG).to_string();
         assert_eq!(again, first, "identical request, identical response");
     }
-    assert_eq!((s.program_stats().hits, s.program_stats().misses), (3, 1));
+    let (pc, ep, c) = (
+        s.shared().program_stats(),
+        s.shared().engine_stats(),
+        s.shared().counters(),
+    );
+    assert_eq!((pc.hits, pc.misses), (3, 1));
     // Consecutive same-config requests batch onto the held engine;
     // they count as warm hits.
-    assert_eq!((s.engine_stats().hits, s.engine_stats().misses), (3, 1));
-    assert_eq!(s.counters().batched_runs, 3);
-    assert_eq!(s.counters().runs, 4);
-    assert_eq!(s.counters().errors, 0);
+    assert_eq!((ep.hits, ep.misses), (3, 1));
+    assert_eq!(c.batched_runs, 3);
+    assert_eq!(c.runs, 4);
+    assert_eq!(c.errors, 0);
 }
 
 #[test]
@@ -63,7 +69,8 @@ fn options_map_to_the_configured_engine() {
     assert!(usii.contains("\"arch\":\"usii\""), "{usii}");
     // One engine went back to the pool on the config switch, the other
     // is still held by the worker: both are warm.
-    assert_eq!(s.engine_stats().warm, 2, "two distinct configs warmed");
+    let warm = s.shared().engine_stats().warm;
+    assert_eq!(warm, 2, "two distinct configs warmed");
 }
 
 #[test]
@@ -97,7 +104,7 @@ fn errors_are_reported_not_fatal() {
         assert!(resp.starts_with("{\"ok\":false,"), "{req} -> {resp}");
         assert!(resp.contains(needle), "{req} -> {resp}");
     }
-    assert_eq!(s.counters().errors, 10);
+    assert_eq!(s.shared().counters().errors, 10);
     // The server still works after every failure.
     let ok = s.handle_line(PROG).to_string();
     assert!(ok.starts_with("{\"ok\":true,"), "{ok}");
@@ -107,9 +114,10 @@ fn errors_are_reported_not_fatal() {
 fn failed_assembly_is_not_cached() {
     let mut s = Server::new(8, 4);
     s.handle_line(r#"{"program":"frobnicate r1\n"}"#);
-    assert_eq!(s.program_stats().entries, 0);
+    assert_eq!(s.shared().program_stats().entries, 0);
     s.handle_line(r#"{"program":"frobnicate r1\n"}"#);
-    assert_eq!(s.program_stats().misses, 2, "errors re-assemble every time");
+    let misses = s.shared().program_stats().misses;
+    assert_eq!(misses, 2, "errors re-assemble every time");
 }
 
 #[test]
@@ -131,13 +139,16 @@ fn stats_and_shutdown_commands() {
     assert!(stats.contains("\"pool_shards\":1"), "{stats}");
     assert!(stats.contains("\"worker_requests\":[3]"), "{stats}");
     assert!(stats.contains("\"cycles_simulated\":"), "{stats}");
-    assert!(!s.shutdown_requested());
+    assert!(!s.shared().is_shutdown());
     let bye = s.handle_line(r#"{"cmd":"shutdown"}"#).to_string();
     assert_eq!(bye, "{\"ok\":true,\"shutdown\":true}");
-    assert!(s.shutdown_requested());
-    let line = s.final_stats_line();
+    assert!(s.shared().is_shutdown());
+    // The shutdown line is the same stats object, now counting the
+    // shutdown request too.
+    let line = shutdown_line(s.shared());
+    assert!(line.starts_with("usim serve: {\"requests\":4,"), "{line}");
     assert!(
-        line.contains("4 requests (2 runs, 0 errors, 0 disconnects)"),
+        line.contains("\"runs\":2,\"errors\":0,\"disconnects\":0,"),
         "{line}"
     );
 }
@@ -169,7 +180,7 @@ fn stream_driver_answers_each_line_and_stops_on_shutdown() {
     assert_eq!(lines.len(), 3, "{lines:?}");
     assert_eq!(lines[0], lines[1]);
     assert_eq!(lines[2], "{\"ok\":true,\"shutdown\":true}");
-    assert_eq!(s.counters().runs, 2);
+    assert_eq!(s.shared().counters().runs, 2);
 }
 
 #[test]
@@ -183,9 +194,10 @@ fn partial_final_line_counts_as_disconnect_and_is_not_run() {
     let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].starts_with("{\"ok\":true,"));
-    assert_eq!(s.counters().runs, 1);
-    assert_eq!(s.counters().errors, 0, "a disconnect is not an error");
-    assert_eq!(s.counters().disconnects, 1);
+    let c = s.shared().counters();
+    assert_eq!(c.runs, 1);
+    assert_eq!(c.errors, 0, "a disconnect is not an error");
+    assert_eq!(c.disconnects, 1);
 }
 
 #[test]
@@ -205,8 +217,8 @@ fn broken_pipe_on_write_counts_as_disconnect() {
     // Both requests arrived pipelined, so they run as one lane-batch
     // group before the first write hits the broken pipe and the stream
     // stops.
-    assert_eq!(s.counters().runs, 2);
-    assert_eq!(s.counters().disconnects, 1);
+    assert_eq!(s.shared().counters().runs, 2);
+    assert_eq!(s.shared().counters().disconnects, 1);
 }
 
 /// A branchy countdown loop under the perfect predictor: one clean
@@ -234,15 +246,16 @@ fn pipelined_identical_requests_lane_batch_byte_identically() {
     for l in &lines {
         assert_eq!(*l, baseline, "lane-batched response must be byte-identical");
     }
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.requests, 4);
     assert_eq!(c.runs, 4);
     assert_eq!(c.errors, 0);
-    assert_eq!(c.lane_batched_runs, 4, "all four lanes rode one batch");
-    assert_eq!(c.lane_divergence_peels, 0);
+    assert_eq!(c.lanes.lane_runs, 4, "all four lanes rode one batch");
+    assert_eq!(c.lanes.peels, 0);
     assert_eq!(c.batched_runs, 3, "members batch onto the held engine");
+    let pc = s.shared().program_stats();
     assert_eq!(
-        (s.program_stats().hits, s.program_stats().misses),
+        (pc.hits, pc.misses),
         (3, 1),
         "members hit the leader's cache entry"
     );
@@ -266,25 +279,25 @@ fn bimodal_group_lane_batches_across_epochs_byte_identically() {
     for (l, e) in lines.iter().zip(&expect) {
         assert_eq!(*l, e, "lane-batched response must match serial serving");
     }
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.runs, 3);
     assert_eq!(
-        c.lane_batched_runs, 3,
+        c.lanes.lane_runs, 3,
         "mispredicting leader no longer blocks the gate"
     );
     assert!(
-        c.lane_epochs >= 2,
+        c.lanes.epochs >= 2,
         "the leader's flushes segment the run into multiple epochs, got {}",
-        c.lane_epochs
+        c.lanes.epochs
     );
     // Identical lanes never diverge from the leader, during replay or
     // otherwise, and no demotion cause fires.
-    assert_eq!(c.lane_divergence_peels, 0);
-    assert_eq!(c.lane_replay_peels, 0);
-    assert_eq!(c.lane_demote_incompatible, 0);
-    assert_eq!(c.lane_demote_leader, 0);
-    assert_eq!(c.lane_demote_structure, 0);
-    assert_eq!(c.lane_demote_verify, 0);
+    assert_eq!(c.lanes.peels, 0);
+    assert_eq!(c.lanes.replay_peels, 0);
+    assert_eq!(c.lanes.fallback_incompatible, 0);
+    assert_eq!(c.lanes.fallback_leader, 0);
+    assert_eq!(c.lanes.fallback_structure, 0);
+    assert_eq!(c.lanes.fallback_verify, 0);
 }
 
 #[test]
@@ -309,10 +322,10 @@ fn group_breakers_are_served_in_order() {
     assert!(lines[2].contains("\"lane_batched_runs\":2"), "{}", lines[2]);
     assert!(lines[4].starts_with("{\"ok\":false,"), "{}", lines[4]);
     assert_eq!(lines[6], "{\"ok\":true,\"shutdown\":true}");
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.runs, 4);
     assert_eq!(c.errors, 1);
-    assert_eq!(c.lane_batched_runs, 2, "only the unbroken pair batched");
+    assert_eq!(c.lanes.lane_runs, 2, "only the unbroken pair batched");
 }
 
 #[test]
@@ -329,10 +342,10 @@ fn alternating_configs_never_group() {
     assert_eq!(lines[1], lines[3]);
     assert!(lines[0].contains("\"window\":8"), "{}", lines[0]);
     assert!(lines[1].contains("\"window\":16"), "{}", lines[1]);
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!(c.runs, 4);
     assert_eq!(
-        c.lane_batched_runs, 0,
+        c.lanes.lane_runs, 0,
         "config changes break every would-be group"
     );
 }
@@ -356,7 +369,7 @@ fn oversized_window_or_alus_is_a_typed_error_not_an_abort() {
     assert!(lines[1].contains("ALU"), "{}", lines[1]);
     assert!(lines[2].starts_with("{\"ok\":true,"), "{}", lines[2]);
     assert!(lines[2].contains("\"halted\":true"), "{}", lines[2]);
-    let c = s.counters();
+    let c = s.shared().counters();
     assert_eq!((c.errors, c.runs), (2, 1));
 }
 
@@ -377,8 +390,8 @@ fn over_cap_line_gets_one_error_and_closes_the_stream() {
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].starts_with("{\"ok\":false,\"error\":"), "{text}");
     assert!(lines[0].contains(&MAX_LINE_BYTES.to_string()), "{text}");
-    assert_eq!(s.counters().errors, 1);
-    assert_eq!(s.counters().runs, 0);
+    assert_eq!(s.shared().counters().errors, 1);
+    assert_eq!(s.shared().counters().runs, 0);
 
     // A line just under the cap is still read whole (and rejected by
     // the parser, not the cap).
@@ -396,5 +409,77 @@ fn over_cap_line_gets_one_error_and_closes_the_stream() {
     let text = std::str::from_utf8(&out).unwrap();
     assert!(text.starts_with("{\"ok\":true,"), "{text}");
     assert!(text.contains("\"halted\":true"), "{text}");
-    assert_eq!(s.counters().runs, 1);
+    assert_eq!(s.shared().counters().runs, 1);
+}
+
+#[test]
+fn program_path_reads_only_bounded_regular_files() {
+    use ultrascalar_bench::serve::MAX_LINE_BYTES;
+    let dir = std::env::temp_dir();
+    let good = dir.join(format!("usim-serve-prog-{}.asm", std::process::id()));
+    let big = dir.join(format!("usim-serve-big-{}.asm", std::process::id()));
+    std::fs::write(&good, "li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt\n").unwrap();
+    std::fs::write(&big, "#".repeat(MAX_LINE_BYTES + 1)).unwrap();
+    let path_req = |p: &std::path::Path| {
+        format!(
+            r#"{{"program_path":"{}","options":{{"window":8}}}}"#,
+            p.display()
+        )
+    };
+    // `/dev/zero` once grew the worker until the process died; now it,
+    // a directory and an over-cap file are each one error line, and
+    // the same stream answers the next request.
+    let input = format!(
+        "{}\n{{\"program_path\":\"/dev/zero\"}}\n{}\n{}\n{PROG}\n",
+        path_req(&good),
+        path_req(&dir),
+        path_req(&big),
+    );
+    let mut s = Server::new(8, 4);
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&big);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    // The file holds PROG's program, so it answers exactly as PROG.
+    assert_eq!(lines[0], lines[4]);
+    assert!(lines[0].contains("\"halted\":true"), "{}", lines[0]);
+    assert!(lines[1].starts_with("{\"ok\":false,"), "{}", lines[1]);
+    assert!(lines[1].contains("not a regular file"), "{}", lines[1]);
+    assert!(lines[2].contains("not a regular file"), "{}", lines[2]);
+    assert!(lines[3].starts_with("{\"ok\":false,"), "{}", lines[3]);
+    assert!(lines[3].contains("exceeds"), "{}", lines[3]);
+    let c = s.shared().counters();
+    assert_eq!((c.requests, c.errors, c.runs), (5, 3, 2));
+}
+
+#[test]
+fn max_cycles_above_the_cap_is_a_typed_error() {
+    use ultrascalar_bench::serve::MAX_REQUEST_CYCLES;
+    assert_eq!(MAX_REQUEST_CYCLES, 50_000_000, "the `usim run` default");
+    let spin = |max: u64| {
+        format!(r#"{{"program":"loop:\nj loop\n","options":{{"window":8,"max_cycles":{max}}}}}"#)
+    };
+    let input = format!(
+        "{}\n{}\n{}\n{PROG}\n",
+        spin(MAX_REQUEST_CYCLES + 1),
+        spin(9_007_199_254_740_992),
+        spin(1000),
+    );
+    let mut s = Server::new(8, 4);
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for l in &lines[..2] {
+        assert!(l.starts_with("{\"ok\":false,"), "{l}");
+        assert!(l.contains("max_cycles must be at most 50000000"), "{l}");
+    }
+    // Under the cap the loop runs out its budget without halting.
+    assert!(lines[2].contains("\"halted\":false"), "{}", lines[2]);
+    assert!(lines[2].contains("\"cycles\":1000,"), "{}", lines[2]);
+    assert!(lines[3].contains("\"halted\":true"), "{}", lines[3]);
+    let c = s.shared().counters();
+    assert_eq!((c.errors, c.runs), (2, 2));
 }

@@ -24,8 +24,7 @@
 //!   shifts transpose the 64×32 bit matrix out to ordinary `u32`s
 //!   ([`extract`]), apply the scalar operator per lane, and transpose
 //!   back ([`deposit`]). The transpose is the textbook 64×64 in-place
-//!   block-swap network, 6 levels of masked exchanges, with an AVX2
-//!   form in [`crate::simd`].
+//!   block-swap network, 6 levels of masked exchanges.
 //!
 //! Every operation is total on all 64 lanes — inactive lanes simply
 //! compute don't-care values — so callers gate by a lane *mask* instead
@@ -64,22 +63,20 @@ pub fn mask_lo(n: usize) -> u64 {
 /// Transpose a 64×64 bit matrix in place (LSB-first: bit `c` of row
 /// `r` moves to bit `r` of row `c`). The classic block-swap network:
 /// at level `j` every row pair `(k, k|j)` exchanges the high-`j` half
-/// of `k` with the low-`j` half of `k|j` under mask `m`.
+/// of `k` with the low-`j` half of `k|j` under mask `m`. The pairs are
+/// walked as the two halves of each `2j`-row block, a unit-stride
+/// loop the compiler vectorizes.
 fn transpose64(a: &mut [u64; 64]) {
-    // Runtime-dispatch: the AVX2 form exchanges 4-row runs per vector
-    // op (bit-for-bit identical); this scalar network is the fallback.
-    if crate::simd::transpose64_avx2(a) {
-        return;
-    }
     let mut j = 32;
     let mut m: u64 = 0x0000_0000_FFFF_FFFF;
     while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k | j]) & m;
-            a[k] ^= t << j;
-            a[k | j] ^= t;
-            k = ((k | j) + 1) & !j;
+        for block in a.chunks_exact_mut(2 * j) {
+            let (lo, hi) = block.split_at_mut(j);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let t = ((*x >> j) ^ *y) & m;
+                *x ^= t << j;
+                *y ^= t;
+            }
         }
         j >>= 1;
         m ^= m << (j.max(1));
@@ -137,7 +134,7 @@ pub fn lane(v: &LaneValue, l: usize) -> u32 {
 /// Lane-wise wrapping `a + b`: a 32-step ripple carry where each step
 /// advances all 64 lanes' carry bits word-parallel.
 ///
-/// Deliberately **not** AVX2-dispatched: a vectorized Kogge–Stone
+/// Deliberately **not** vectorized: an AVX2 Kogge–Stone
 /// carry network was measured at ~0.3× of this ripple on an AVX2 host
 /// — the ripple's single-word carry chain inlines into four scalar ops
 /// per plane with no memory round-trips, while the log-depth network
@@ -367,28 +364,6 @@ mod tests {
     fn broadcast_matches_deposit_of_equal_lanes() {
         for v in [0u32, 1, u32::MAX, 0xDEAD_BEEF, 0x8000_0000] {
             assert_eq!(broadcast(v), deposit(&[v; LANES]));
-        }
-    }
-
-    /// Dispatch consistency for the transpose kernel behind
-    /// [`deposit`]/[`extract`]: the AVX2 and portable forms must be
-    /// byte-identical on random lane fills, both directions.
-    #[test]
-    fn transpose_dispatch_forced_swar_is_byte_identical() {
-        for seed in 1..=16u64 {
-            let vals = random_lanes(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-            let native_dep = deposit(&vals);
-            let mut native_ext = [0u32; LANES];
-            extract(&native_dep, &mut native_ext);
-            let swar_dep;
-            let mut swar_ext = [0u32; LANES];
-            {
-                let _pin = crate::simd::ForceSwarGuard::force();
-                swar_dep = deposit(&vals);
-                extract(&swar_dep, &mut swar_ext);
-            }
-            assert_eq!(native_dep, swar_dep, "seed {seed}: deposit");
-            assert_eq!(native_ext, swar_ext, "seed {seed}: extract");
         }
     }
 

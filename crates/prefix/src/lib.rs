@@ -37,16 +37,11 @@
 //!   machines per word op (planewise ALU/compare forms, lane-uniform
 //!   shift relabelling, and a transpose-based extract/compute/deposit
 //!   escape hatch); the lane batch engine in `ultrascalar` runs on it,
-//! * [`simd`] — the runtime-dispatched AVX2 form of the lane transpose
-//!   (`is_x86_feature_detected!`), bit-for-bit identical to the
-//!   portable network, with the `USIM_FORCE_SWAR` environment variable
-//!   and [`simd::ForceSwarGuard`] pinning the fallback.
+//! * [`simd`] — the host SIMD level recorded into bench artifacts (the
+//!   lane kernels are portable on every host).
 
 #![deny(missing_docs)]
-// `unsafe` is denied crate-wide and re-allowed in exactly one place:
-// the `simd` module, whose `std::arch` intrinsic calls sit behind
-// runtime feature detection and a safe wrapper.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cspp;
 pub mod lanes;
@@ -62,5 +57,5 @@ pub use cspp::{
 pub use lanes::LaneValue;
 pub use op::{BoolAnd, BoolOr, First, Last, Max, Min, PrefixOp, SegPair, Sum};
 pub use sched::allocate_oldest_first;
-pub use simd::{active_simd_level, detected_simd_level, ForceSwarGuard};
+pub use simd::{active_simd_level, detected_simd_level};
 pub use tree::{tree_scan_exclusive, tree_scan_inclusive, TreeScan};
