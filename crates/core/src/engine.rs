@@ -8,6 +8,21 @@
 //! circuits perform in `Θ(log n)` gate delay; the simulator does it in
 //! `O(n + L)` serial work per cycle.
 //!
+//! The window is the paper's ring of `n` execution stations. The
+//! occupied stations are always one contiguous run of the ring that
+//! starts on a cluster boundary: the US-I wraps around it one station
+//! at a time, the US-II refills it as one batch and the hybrid works in
+//! clusters of `C`. So the engine keeps the window as one queue of
+//! stations in program order plus `head_slot`, the physical slot of
+//! the oldest (always a multiple of `C`); station `i` sits in slot
+//! `(head_slot + i) mod n`. Refill pushes at the back until `n`
+//! stations are occupied, commit pops a whole cluster from the front
+//! and advances `head_slot` by `C`, and a misprediction flush truncates
+//! the queue after the branch. The program-order scan (Phase A) is the
+//! only pass over the whole window each cycle: it counts the stations
+//! it issues and lists the branches that resolve this cycle, so the
+//! issue histogram and branch resolution need no pass of their own.
+//!
 //! Three of the paper's extension mechanisms are implemented behind
 //! configuration switches (all off by default):
 //!
@@ -42,17 +57,6 @@ use ultrascalar_memsys::{MemRequest, MemResponse, MemSystem, ReqKind};
 /// fetch path. Far beyond any workload in this repository.
 const ORACLE_FUEL: usize = 50_000_000;
 
-/// A cluster of up to `C` stations. In hardware every cluster always
-/// has `C` stations; here `entries` holds only the occupied ones (all
-/// clusters except possibly the youngest are full).
-#[derive(Debug, Clone)]
-struct Cluster {
-    /// Monotone allocation index; `index % K` is the physical position
-    /// in the cluster ring (fat-tree placement).
-    ring_index: usize,
-    entries: Vec<StationEntry>,
-}
-
 /// Reusable per-cycle scratch for the program-order scan. Hoisting
 /// these buffers out of the cycle loop makes the steady-state scan
 /// allocation-free: each cycle clears them in place instead of
@@ -66,6 +70,9 @@ struct ScanScratch {
     store_infos: Vec<StoreInfo>,
     /// Memory requests offered to the arbiter this cycle.
     requests: Vec<MemRequest>,
+    /// Window indices of the branches that complete this cycle, in
+    /// program order (the stations Phase C resolves).
+    resolved_branches: Vec<usize>,
 }
 
 impl ScanScratch {
@@ -77,6 +84,7 @@ impl ScanScratch {
         self.last_writer.resize(num_regs, None);
         self.store_infos.clear();
         self.requests.clear();
+        self.resolved_branches.clear();
     }
 
     /// Reset for a new cycle without releasing capacity.
@@ -84,24 +92,21 @@ impl ScanScratch {
         self.last_writer.fill(None);
         self.store_infos.clear();
         self.requests.clear();
+        self.resolved_branches.clear();
     }
 }
 
-/// Locate the window entry with sequence number `id`, replacing the
-/// per-cycle `HashMap` locator with an allocation-free binary search.
+/// Locate the window station with sequence number `id` by binary
+/// search.
 ///
 /// Sequence numbers are allocated monotonically and never reused, and
-/// both refill (push youngest) and flush (truncate a suffix) preserve
-/// program order, so the window is always globally sorted ascending by
-/// `seq` — clusters first by their last entry, then entries within the
-/// cluster. Note the ranges are *not* contiguous (a misprediction flush
-/// followed by refill leaves seq gaps even inside one cluster), so
-/// `seq - base` arithmetic would be unsound; search is required.
-fn locate(window: &VecDeque<Cluster>, id: u64) -> Option<(usize, usize)> {
-    let ci = window.partition_point(|cl| cl.entries.last().is_none_or(|e| e.seq < id));
-    let cl = window.get(ci)?;
-    let ei = cl.entries.binary_search_by_key(&id, |e| e.seq).ok()?;
-    Some((ci, ei))
+/// refill (push youngest), commit (pop oldest) and flush (truncate a
+/// suffix) all preserve program order, so the window is always sorted
+/// ascending by `seq`. The numbers are *not* contiguous (a misprediction
+/// flush followed by refill leaves a gap), so `seq - base` arithmetic
+/// would be unsound; search is required.
+fn locate(window: &VecDeque<StationEntry>, id: u64) -> Option<usize> {
+    window.binary_search_by_key(&id, |e| e.seq).ok()
 }
 
 /// Snapshot of the most recent preceding writer of a register during
@@ -111,7 +116,7 @@ struct Writer {
     seq: u64,
     completed_at: Option<u64>,
     value: u32,
-    /// Window ring position of the writer (for distance-based
+    /// Physical slot of the writer's station (for distance-based
     /// forwarding latency).
     pos: usize,
 }
@@ -234,7 +239,7 @@ impl ReplayLog {
 /// The unified Ultrascalar processor model.
 ///
 /// The engine retains its allocation-heavy working state — fetch unit,
-/// memory system, window clusters, scan buffers, trace cache — across
+/// memory system, station window, scan buffers, trace cache — across
 /// runs. [`Processor::run_reusing`] rewinds all of it in place, so a
 /// warm engine serving its second and later requests for a same-shape
 /// program performs **zero** allocations (the serve-mode probe pins
@@ -249,17 +254,18 @@ pub struct Ultrascalar {
 }
 
 /// Working state retained across runs. Everything here is rewound (not
-/// rebuilt) at the top of each run; the cluster pool recycles the
-/// per-cluster entry vectors that commit and flush would otherwise
-/// drop, closing the last per-cycle allocation in the refill path.
+/// rebuilt) at the top of each run. The window is one queue of at most
+/// `n` stations whose capacity survives commit, flush and the end of a
+/// run, so refill never allocates once the engine is warm.
 #[derive(Debug, Default)]
 struct EngineScratch {
     fetch: Option<FetchUnit>,
     mem: Option<MemSystem>,
     trace_cache: Option<TraceCache>,
-    window: VecDeque<Cluster>,
-    /// Free list of cluster entry vectors (always pushed cleared).
-    cluster_pool: Vec<Vec<StationEntry>>,
+    /// Occupied stations in program order, oldest first. Station `i`
+    /// sits in physical slot `(head_slot + i) mod n`, where `head_slot`
+    /// (a run-local, always a multiple of `C`) is the oldest's slot.
+    window: VecDeque<StationEntry>,
     scan: ScanScratch,
     /// Wrong-path trace of the most recent run (see [`ReplayLog`]).
     replay: ReplayLog,
@@ -330,7 +336,6 @@ impl Processor for Ultrascalar {
         program.validate().expect("program must validate");
         let n = self.cfg.window;
         let c = self.cfg.cluster;
-        let k = n / c;
         let lat = self.cfg.latency;
         let fwd = self.cfg.forward;
         let renaming = self.cfg.memory_renaming;
@@ -345,7 +350,6 @@ impl Processor for Ultrascalar {
             mem,
             trace_cache,
             window,
-            cluster_pool,
             scan,
             replay,
             alu_free_at,
@@ -363,14 +367,12 @@ impl Processor for Ultrascalar {
             None => *mem = Some(MemSystem::new(self.cfg.mem.clone(), &program.init_mem)),
         }
         let mem = mem.as_mut().expect("memory system initialised above");
-        // A previous run that hit the cycle budget leaves clusters in
-        // the window; recycle them.
-        while let Some(mut cl) = window.pop_front() {
-            cl.entries.clear();
-            cluster_pool.push(cl.entries);
-        }
+        // A previous run that hit the cycle budget leaves stations in
+        // the window; drop them, keeping the capacity.
+        window.clear();
+        window.reserve(n);
+        let mut head_slot: usize = 0;
         let mut next_seq: u64 = 0;
-        let mut alloc_counter: usize = 0;
 
         // The caller's result buffer is the working state: committed
         // registers and timings accumulate directly into `out`, so
@@ -406,70 +408,32 @@ impl Processor for Ultrascalar {
         };
         let mut fetch_stalled_until: u64 = 0;
 
-        // Refill: fill the youngest partial cluster, then allocate new
-        // clusters, stations becoming live at `visible_at`; at most
-        // `fetch_width` instructions per cycle.
+        // Refill: occupy free stations in program order, each becoming
+        // live at `visible_at`; at most `fetch_width` instructions per
+        // cycle. The occupied run always starts on a cluster boundary,
+        // so filling up to `n` stations fills the youngest partial
+        // cluster first and then whole free clusters, as the hardware
+        // does.
         let fetch_budget = self.cfg.fetch_width.unwrap_or(n);
-        let refill = |window: &mut VecDeque<Cluster>,
+        let refill = |window: &mut VecDeque<StationEntry>,
                       fetch: &mut FetchUnit,
                       next_seq: &mut u64,
-                      alloc_counter: &mut usize,
-                      pool: &mut Vec<Vec<StationEntry>>,
                       visible_at: u64| {
-            let mut budget = fetch_budget;
-            let pull = |fetch: &mut FetchUnit,
-                        seq: &mut u64,
-                        budget: &mut usize|
-             -> Option<StationEntry> {
-                if *budget == 0 {
-                    return None;
-                }
-                let f = fetch.next()?;
-                let e = StationEntry::new(*seq, f.pc, f.instr, f.predicted_next, visible_at);
-                *seq += 1;
-                *budget -= 1;
-                Some(e)
-            };
-            if let Some(back) = window.back_mut() {
-                while back.entries.len() < c {
-                    match pull(fetch, next_seq, &mut budget) {
-                        Some(e) => back.entries.push(e),
-                        None => return,
-                    }
-                }
-            }
-            while window.len() < k {
-                // Recycle an entry vector dropped by commit or flush;
-                // pool vectors are always pushed cleared.
-                let mut entries = pool.pop().unwrap_or_default();
-                entries.reserve(c);
-                while entries.len() < c {
-                    match pull(fetch, next_seq, &mut budget) {
-                        Some(e) => entries.push(e),
-                        None => break,
-                    }
-                }
-                if entries.is_empty() {
-                    pool.push(entries);
-                    return;
-                }
-                window.push_back(Cluster {
-                    ring_index: *alloc_counter,
-                    entries,
-                });
-                *alloc_counter += 1;
+            for _ in 0..fetch_budget.min(n - window.len()) {
+                let Some(f) = fetch.next() else { return };
+                window.push_back(StationEntry::new(
+                    *next_seq,
+                    f.pc,
+                    f.instr,
+                    f.predicted_next,
+                    visible_at,
+                ));
+                *next_seq += 1;
             }
         };
 
         // Initial fill: the window starts filling at cycle 0.
-        refill(
-            window,
-            fetch,
-            &mut next_seq,
-            &mut alloc_counter,
-            cluster_pool,
-            0,
-        );
+        refill(window, fetch, &mut next_seq, 0);
 
         // Per-cycle scan buffers, reused across the whole run.
         scan.prepare(program.num_regs);
@@ -480,7 +444,8 @@ impl Processor for Ultrascalar {
                 // Nothing in flight and nothing left to fetch.
                 break;
             }
-            let occupancy: u64 = window.iter().map(|cl| cl.entries.len() as u64).sum();
+            debug_assert_eq!(head_slot % c, 0, "the oldest station opens a cluster");
+            let occupancy = window.len() as u64;
             stats.occupancy_sum += occupancy;
 
             // Event-driven cycle skipping: while the cycle executes we
@@ -498,7 +463,9 @@ impl Processor for Ultrascalar {
             // requests. Prefix flags mirror the CSPP circuits (the
             // all-earlier AND networks of Figure 5, plus the renaming
             // variant), computed on start-of-cycle state and narrowed
-            // as the scan passes each station.
+            // as the scan passes each station. The scan also counts
+            // the stations it issues and lists the branches completing
+            // this cycle, for the issue histogram and Phase C.
             let mut stores_done = true;
             let mut loads_done = true;
             let mut branches_done = true;
@@ -508,220 +475,281 @@ impl Processor for Ultrascalar {
                 last_writer,
                 store_infos,
                 requests,
+                resolved_branches,
             } = &mut *scan;
             let mut free_alus = alu_free_at.iter().filter(|&&f| f <= t).count();
+            let mut issued_now = 0;
+            // Physical slot of station `i`, advanced with the scan.
+            let mut pos = head_slot;
 
-            for ci in 0..window.len() {
-                for ei in 0..window[ci].entries.len() {
-                    let pos = (window[ci].ring_index % k) * c + ei;
-                    let entry = &window[ci].entries[ei];
+            for i in 0..window.len() {
+                let entry = &window[i];
 
-                    // Resolve this entry's sources from the scan state,
-                    // applying the forwarding-latency model.
-                    let seq = entry.seq;
-                    let resolve = |r: ultrascalar_isa::Reg| -> Source {
-                        let i = r.index();
-                        match last_writer[i] {
-                            Some(w) => {
-                                // `done + 1` first, then the saturating
-                                // hop cost, so a huge `per_hop` pins
-                                // readiness at "never" instead of
-                                // wrapping.
-                                let ready_at = w
-                                    .completed_at
-                                    .map(|done| (done + 1).saturating_add(fwd.extra(w.pos, pos)));
-                                Source::Forwarded {
-                                    value: w.value,
-                                    ready: ready_at.is_some_and(|ra| ra <= t),
-                                    ready_at,
-                                    dist: seq - w.seq,
+                // Resolve this entry's sources from the scan state,
+                // applying the forwarding-latency model.
+                let seq = entry.seq;
+                let resolve = |r: ultrascalar_isa::Reg| -> Source {
+                    let ri = r.index();
+                    match last_writer[ri] {
+                        Some(w) => {
+                            // `done + 1` first, then the saturating
+                            // hop cost, so a huge `per_hop` pins
+                            // readiness at "never" instead of
+                            // wrapping.
+                            let ready_at = w
+                                .completed_at
+                                .map(|done| (done + 1).saturating_add(fwd.extra(w.pos, pos)));
+                            Source::Forwarded {
+                                value: w.value,
+                                ready: ready_at.is_some_and(|ra| ra <= t),
+                                ready_at,
+                                dist: seq - w.seq,
+                            }
+                        }
+                        None => Source::Committed {
+                            value: committed_regs[ri],
+                        },
+                    }
+                };
+
+                let eligible = entry.issued_at.is_none() && t >= entry.fetched_at;
+                // A memory op may spend several cycles re-offering a
+                // rejected request; record its forwardings only on
+                // the first attempt.
+                let first_attempt = entry.mem == MemPhase::None;
+                let mut issued_alu_class = false;
+                if eligible {
+                    let srcs = entry.instr.reads();
+                    let s0 = srcs[0].map(&resolve);
+                    let s1 = srcs[1].map(&resolve);
+                    let ready = s0.as_ref().is_none_or(Source::ready)
+                        && s1.as_ref().is_none_or(Source::ready);
+                    if ready {
+                        let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s {
+                            Some(Source::Forwarded { dist, .. }) => stats.record_forward(*dist),
+                            Some(Source::Committed { .. }) => stats.regfile_reads += 1,
+                            None => {}
+                        };
+                        let instr = entry.instr;
+                        match instr {
+                            Instr::Alu { op, .. } => {
+                                if self.cfg.alus.is_none() || free_alus > 0 {
+                                    if self.cfg.alus.is_some() {
+                                        free_alus -= 1;
+                                        issued_alu_class = true;
+                                    }
+                                    let v = op.apply(
+                                        s0.as_ref().expect("alu rs1").value(),
+                                        s1.as_ref().expect("alu rs2").value(),
+                                    );
+                                    let e = &mut window[i];
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t + lat.of(&instr) - 1);
+                                    e.result = Some(v);
+                                    e.actual_next = Some(e.pc + 1);
+                                    record_fw(stats, &s0);
+                                    record_fw(stats, &s1);
+                                } else {
+                                    stats.alu_stalls += 1;
                                 }
                             }
-                            None => Source::Committed {
-                                value: committed_regs[i],
-                            },
+                            Instr::AluImm { op, imm, .. } => {
+                                if self.cfg.alus.is_none() || free_alus > 0 {
+                                    if self.cfg.alus.is_some() {
+                                        free_alus -= 1;
+                                        issued_alu_class = true;
+                                    }
+                                    let v = op
+                                        .apply(s0.as_ref().expect("alui rs1").value(), imm as u32);
+                                    let e = &mut window[i];
+                                    e.issued_at = Some(t);
+                                    e.completed_at = Some(t + lat.of(&instr) - 1);
+                                    e.result = Some(v);
+                                    e.actual_next = Some(e.pc + 1);
+                                    record_fw(stats, &s0);
+                                } else {
+                                    stats.alu_stalls += 1;
+                                }
+                            }
+                            Instr::LoadImm { imm, .. } => {
+                                let e = &mut window[i];
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t + lat.of(&instr) - 1);
+                                e.result = Some(imm as u32);
+                                e.actual_next = Some(e.pc + 1);
+                            }
+                            Instr::Branch { cond, target, .. } => {
+                                let a = s0.as_ref().expect("branch rs1").value();
+                                let b = s1.as_ref().expect("branch rs2").value();
+                                let taken = cond.eval(a, b);
+                                let e = &mut window[i];
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t + lat.of(&instr) - 1);
+                                e.taken = Some(taken);
+                                e.actual_next =
+                                    Some(if taken { target as usize } else { e.pc + 1 });
+                                record_fw(stats, &s0);
+                                record_fw(stats, &s1);
+                            }
+                            Instr::Jump { target } => {
+                                let e = &mut window[i];
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t);
+                                e.actual_next = Some(target as usize);
+                            }
+                            Instr::Halt | Instr::Nop => {
+                                let e = &mut window[i];
+                                e.issued_at = Some(t);
+                                e.completed_at = Some(t);
+                                e.actual_next = Some(e.pc + 1);
+                            }
+                            Instr::Load { offset, .. } => {
+                                let base = s0.as_ref().expect("load base").value();
+                                let addr =
+                                    (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                if renaming {
+                                    // Memory renaming: once every
+                                    // older store's address is
+                                    // known, either forward from
+                                    // the nearest match or go to
+                                    // memory immediately.
+                                    if stores_resolved {
+                                        let hit = store_infos.iter().rev().find(|s| s.addr == addr);
+                                        if let Some(s) = hit {
+                                            let v = s.value;
+                                            let e = &mut window[i];
+                                            e.issued_at = Some(t);
+                                            e.completed_at = Some(t);
+                                            e.result = Some(v);
+                                            e.actual_next = Some(e.pc + 1);
+                                            e.mem_addr = Some(addr);
+                                            stats.store_forwards += 1;
+                                            record_fw(stats, &s0);
+                                        } else {
+                                            requests.push(MemRequest {
+                                                id: seq,
+                                                leaf: pos,
+                                                addr,
+                                                kind: ReqKind::Load,
+                                            });
+                                            let e = &mut window[i];
+                                            e.mem = MemPhase::Requesting;
+                                            e.mem_addr = Some(addr);
+                                            if first_attempt {
+                                                record_fw(stats, &s0);
+                                            }
+                                        }
+                                    }
+                                } else if stores_done {
+                                    requests.push(MemRequest {
+                                        id: seq,
+                                        leaf: pos,
+                                        addr,
+                                        kind: ReqKind::Load,
+                                    });
+                                    let e = &mut window[i];
+                                    e.mem = MemPhase::Requesting;
+                                    e.mem_addr = Some(addr);
+                                    if first_attempt {
+                                        record_fw(stats, &s0);
+                                    }
+                                }
+                            }
+                            Instr::Store { offset, .. } => {
+                                if stores_done && loads_done && branches_done {
+                                    let base = s0.as_ref().expect("store base").value();
+                                    let val = s1.as_ref().expect("store src").value();
+                                    let addr =
+                                        (base.wrapping_add(offset as u32) as usize) % mem.words();
+                                    requests.push(MemRequest {
+                                        id: seq,
+                                        leaf: pos,
+                                        addr,
+                                        kind: ReqKind::Store(val),
+                                    });
+                                    let e = &mut window[i];
+                                    e.mem = MemPhase::Requesting;
+                                    e.mem_addr = Some(addr);
+                                    if first_attempt {
+                                        record_fw(stats, &s0);
+                                        record_fw(stats, &s1);
+                                    }
+                                }
+                            }
                         }
-                    };
+                        if window[i].issued_at.is_some() {
+                            issued_now += 1;
+                        }
+                    } else {
+                        // Blocked on operands. Each pending
+                        // forwarded source whose producer already
+                        // has a scheduled completion becomes usable
+                        // at a known future cycle — a wake-up event
+                        // for the cycle skip. (Sources whose
+                        // producers have not even issued are
+                        // covered transitively: the oldest blocked
+                        // entry in the window always reduces to an
+                        // issued producer, an in-flight memory op,
+                        // or a fetch stall.)
+                        for s in [&s0, &s1] {
+                            if let Some(Source::Forwarded {
+                                ready: false,
+                                ready_at: Some(ra),
+                                ..
+                            }) = s
+                            {
+                                if *ra > t {
+                                    next_source_ready = next_source_ready.min(*ra);
+                                }
+                            }
+                        }
+                    }
+                }
 
-                    let eligible = entry.issued_at.is_none() && t >= entry.fetched_at;
-                    // A memory op may spend several cycles re-offering a
-                    // rejected request; record its forwardings only on
-                    // the first attempt.
-                    let first_attempt = entry.mem == MemPhase::None;
-                    let mut issued_alu_class = false;
-                    if eligible {
+                // Update the prefix state with this entry (its own
+                // start-of-cycle doneness — unaffected by an issue
+                // this cycle, since done_before is strict).
+                let entry = &window[i];
+                let done = entry.done_before(t);
+                match entry.completed_at {
+                    Some(ct) if ct > t => next_completion = next_completion.min(ct),
+                    Some(ct) if ct == t => completes_now = true,
+                    _ => {}
+                }
+                if entry.instr.is_load() && !done {
+                    loads_done = false;
+                }
+                let mut resolved_store_addr = None;
+                if entry.instr.is_store() {
+                    if !done {
+                        stores_done = false;
+                    }
+                    if renaming {
+                        // Recompute the store's operands against the
+                        // *current* scan state (values are stable
+                        // once their producers are ready).
                         let srcs = entry.instr.reads();
                         let s0 = srcs[0].map(&resolve);
                         let s1 = srcs[1].map(&resolve);
-                        let ready = s0.as_ref().is_none_or(Source::ready)
+                        let resolved = s0.as_ref().is_none_or(Source::ready)
                             && s1.as_ref().is_none_or(Source::ready);
-                        if ready {
-                            let record_fw = |stats: &mut ProcStats, s: &Option<Source>| match s {
-                                Some(Source::Forwarded { dist, .. }) => stats.record_forward(*dist),
-                                Some(Source::Committed { .. }) => stats.regfile_reads += 1,
-                                None => {}
+                        if resolved {
+                            let base = s0.as_ref().expect("store base").value();
+                            let offset = match entry.instr {
+                                Instr::Store { offset, .. } => offset,
+                                _ => unreachable!("store arm"),
                             };
-                            let instr = entry.instr;
-                            match instr {
-                                Instr::Alu { op, .. } => {
-                                    if self.cfg.alus.is_none() || free_alus > 0 {
-                                        if self.cfg.alus.is_some() {
-                                            free_alus -= 1;
-                                            issued_alu_class = true;
-                                        }
-                                        let v = op.apply(
-                                            s0.as_ref().expect("alu rs1").value(),
-                                            s1.as_ref().expect("alu rs2").value(),
-                                        );
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t + lat.of(&instr) - 1);
-                                        e.result = Some(v);
-                                        e.actual_next = Some(e.pc + 1);
-                                        record_fw(stats, &s0);
-                                        record_fw(stats, &s1);
-                                    } else {
-                                        stats.alu_stalls += 1;
-                                    }
-                                }
-                                Instr::AluImm { op, imm, .. } => {
-                                    if self.cfg.alus.is_none() || free_alus > 0 {
-                                        if self.cfg.alus.is_some() {
-                                            free_alus -= 1;
-                                            issued_alu_class = true;
-                                        }
-                                        let v = op.apply(
-                                            s0.as_ref().expect("alui rs1").value(),
-                                            imm as u32,
-                                        );
-                                        let e = &mut window[ci].entries[ei];
-                                        e.issued_at = Some(t);
-                                        e.completed_at = Some(t + lat.of(&instr) - 1);
-                                        e.result = Some(v);
-                                        e.actual_next = Some(e.pc + 1);
-                                        record_fw(stats, &s0);
-                                    } else {
-                                        stats.alu_stalls += 1;
-                                    }
-                                }
-                                Instr::LoadImm { imm, .. } => {
-                                    let e = &mut window[ci].entries[ei];
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t + lat.of(&instr) - 1);
-                                    e.result = Some(imm as u32);
-                                    e.actual_next = Some(e.pc + 1);
-                                }
-                                Instr::Branch { cond, target, .. } => {
-                                    let a = s0.as_ref().expect("branch rs1").value();
-                                    let b = s1.as_ref().expect("branch rs2").value();
-                                    let taken = cond.eval(a, b);
-                                    let e = &mut window[ci].entries[ei];
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t + lat.of(&instr) - 1);
-                                    e.taken = Some(taken);
-                                    e.actual_next =
-                                        Some(if taken { target as usize } else { e.pc + 1 });
-                                    record_fw(stats, &s0);
-                                    record_fw(stats, &s1);
-                                }
-                                Instr::Jump { target } => {
-                                    let e = &mut window[ci].entries[ei];
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t);
-                                    e.actual_next = Some(target as usize);
-                                }
-                                Instr::Halt | Instr::Nop => {
-                                    let e = &mut window[ci].entries[ei];
-                                    e.issued_at = Some(t);
-                                    e.completed_at = Some(t);
-                                    e.actual_next = Some(e.pc + 1);
-                                }
-                                Instr::Load { offset, .. } => {
-                                    let base = s0.as_ref().expect("load base").value();
-                                    let addr =
-                                        (base.wrapping_add(offset as u32) as usize) % mem.words();
-                                    if renaming {
-                                        // Memory renaming: once every
-                                        // older store's address is
-                                        // known, either forward from
-                                        // the nearest match or go to
-                                        // memory immediately.
-                                        if stores_resolved {
-                                            let hit =
-                                                store_infos.iter().rev().find(|s| s.addr == addr);
-                                            if let Some(s) = hit {
-                                                let v = s.value;
-                                                let e = &mut window[ci].entries[ei];
-                                                e.issued_at = Some(t);
-                                                e.completed_at = Some(t);
-                                                e.result = Some(v);
-                                                e.actual_next = Some(e.pc + 1);
-                                                e.mem_addr = Some(addr);
-                                                stats.store_forwards += 1;
-                                                record_fw(stats, &s0);
-                                            } else {
-                                                requests.push(MemRequest {
-                                                    id: seq,
-                                                    leaf: pos,
-                                                    addr,
-                                                    kind: ReqKind::Load,
-                                                });
-                                                let e = &mut window[ci].entries[ei];
-                                                e.mem = MemPhase::Requesting;
-                                                e.mem_addr = Some(addr);
-                                                if first_attempt {
-                                                    record_fw(stats, &s0);
-                                                }
-                                            }
-                                        }
-                                    } else if stores_done {
-                                        requests.push(MemRequest {
-                                            id: seq,
-                                            leaf: pos,
-                                            addr,
-                                            kind: ReqKind::Load,
-                                        });
-                                        let e = &mut window[ci].entries[ei];
-                                        e.mem = MemPhase::Requesting;
-                                        e.mem_addr = Some(addr);
-                                        if first_attempt {
-                                            record_fw(stats, &s0);
-                                        }
-                                    }
-                                }
-                                Instr::Store { offset, .. } => {
-                                    if stores_done && loads_done && branches_done {
-                                        let base = s0.as_ref().expect("store base").value();
-                                        let val = s1.as_ref().expect("store src").value();
-                                        let addr = (base.wrapping_add(offset as u32) as usize)
-                                            % mem.words();
-                                        requests.push(MemRequest {
-                                            id: seq,
-                                            leaf: pos,
-                                            addr,
-                                            kind: ReqKind::Store(val),
-                                        });
-                                        let e = &mut window[ci].entries[ei];
-                                        e.mem = MemPhase::Requesting;
-                                        e.mem_addr = Some(addr);
-                                        if first_attempt {
-                                            record_fw(stats, &s0);
-                                            record_fw(stats, &s1);
-                                        }
-                                    }
-                                }
-                            }
+                            let addr = (base.wrapping_add(offset as u32) as usize) % mem.words();
+                            resolved_store_addr = Some(addr);
+                            store_infos.push(StoreInfo {
+                                addr,
+                                value: s1.as_ref().expect("store src").value(),
+                            });
                         } else {
-                            // Blocked on operands. Each pending
-                            // forwarded source whose producer already
-                            // has a scheduled completion becomes usable
-                            // at a known future cycle — a wake-up event
-                            // for the cycle skip. (Sources whose
-                            // producers have not even issued are
-                            // covered transitively: the oldest blocked
-                            // entry in the window always reduces to an
-                            // issued producer, an in-flight memory op,
-                            // or a fetch stall.)
+                            // An unresolved store gates every younger
+                            // load under renaming; its operands'
+                            // readiness times are wake-up events too.
+                            stores_resolved = false;
                             for s in [&s0, &s1] {
                                 if let Some(Source::Forwarded {
                                     ready: false,
@@ -736,98 +764,46 @@ impl Processor for Ultrascalar {
                             }
                         }
                     }
-
-                    // Update the prefix state with this entry (its own
-                    // start-of-cycle doneness — unaffected by an issue
-                    // this cycle, since done_before is strict).
-                    let entry = &window[ci].entries[ei];
-                    let done = entry.done_before(t);
-                    match entry.completed_at {
-                        Some(ct) if ct > t => next_completion = next_completion.min(ct),
-                        Some(ct) if ct == t => completes_now = true,
-                        _ => {}
-                    }
-                    if entry.instr.is_load() && !done {
-                        loads_done = false;
-                    }
-                    let mut resolved_store_addr = None;
-                    if entry.instr.is_store() {
-                        if !done {
-                            stores_done = false;
-                        }
-                        if renaming {
-                            // Recompute the store's operands against the
-                            // *current* scan state (values are stable
-                            // once their producers are ready).
-                            let srcs = entry.instr.reads();
-                            let s0 = srcs[0].map(&resolve);
-                            let s1 = srcs[1].map(&resolve);
-                            let resolved = s0.as_ref().is_none_or(Source::ready)
-                                && s1.as_ref().is_none_or(Source::ready);
-                            if resolved {
-                                let base = s0.as_ref().expect("store base").value();
-                                let offset = match entry.instr {
-                                    Instr::Store { offset, .. } => offset,
-                                    _ => unreachable!("store arm"),
-                                };
-                                let addr =
-                                    (base.wrapping_add(offset as u32) as usize) % mem.words();
-                                resolved_store_addr = Some(addr);
-                                store_infos.push(StoreInfo {
-                                    addr,
-                                    value: s1.as_ref().expect("store src").value(),
-                                });
-                            } else {
-                                // An unresolved store gates every younger
-                                // load under renaming; its operands'
-                                // readiness times are wake-up events too.
-                                stores_resolved = false;
-                                for s in [&s0, &s1] {
-                                    if let Some(Source::Forwarded {
-                                        ready: false,
-                                        ready_at: Some(ra),
-                                        ..
-                                    }) = s
-                                    {
-                                        if *ra > t {
-                                            next_source_ready = next_source_ready.min(*ra);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if let Some(addr) = resolved_store_addr {
-                        // A renaming-resolved store's address shapes the
-                        // schedule (younger loads forward from it) even
-                        // when the store never issues — wrong-path stores
-                        // never do — so the flush replay log needs it.
-                        window[ci].entries[ei].mem_addr = Some(addr);
-                    }
-                    let entry = &window[ci].entries[ei];
-                    if entry.instr.is_branch() && !done {
+                }
+                if let Some(addr) = resolved_store_addr {
+                    // A renaming-resolved store's address shapes the
+                    // schedule (younger loads forward from it) even
+                    // when the store never issues — wrong-path stores
+                    // never do — so the flush replay log needs it.
+                    window[i].mem_addr = Some(addr);
+                }
+                let entry = &window[i];
+                if entry.instr.is_branch() {
+                    if !done {
                         branches_done = false;
                     }
-                    if let Some(rd) = entry.instr.writes() {
-                        last_writer[rd.index()] = Some(Writer {
-                            seq: entry.seq,
-                            completed_at: entry.completed_at,
-                            value: entry.result.unwrap_or(0),
-                            pos,
-                        });
+                    if entry.completed_at == Some(t) {
+                        resolved_branches.push(i);
                     }
-                    if issued_alu_class {
-                        // Occupy a shared ALU through the completion
-                        // cycle.
-                        let done_at = window[ci].entries[ei]
-                            .completed_at
-                            .expect("alu-class issue sets completion");
-                        let slot = alu_free_at
-                            .iter_mut()
-                            .find(|f| **f <= t)
-                            .expect("a free ALU was counted");
-                        *slot = done_at + 1;
-                    }
+                }
+                if let Some(rd) = entry.instr.writes() {
+                    last_writer[rd.index()] = Some(Writer {
+                        seq: entry.seq,
+                        completed_at: entry.completed_at,
+                        value: entry.result.unwrap_or(0),
+                        pos,
+                    });
+                }
+                if issued_alu_class {
+                    // Occupy a shared ALU through the completion
+                    // cycle.
+                    let done_at = window[i]
+                        .completed_at
+                        .expect("alu-class issue sets completion");
+                    let slot = alu_free_at
+                        .iter_mut()
+                        .find(|f| **f <= t)
+                        .expect("a free ALU was counted");
+                    *slot = done_at + 1;
+                }
+                pos += 1;
+                if pos == n {
+                    pos = 0;
                 }
             }
 
@@ -838,15 +814,15 @@ impl Processor for Ultrascalar {
             mem.tick_into(t, requests, accepted, responses);
             let had_responses = !responses.is_empty();
             for &id in accepted.iter() {
-                if let Some((ci, ei)) = locate(window, id) {
-                    let e = &mut window[ci].entries[ei];
+                if let Some(i) = locate(window, id) {
+                    let e = &mut window[i];
                     e.issued_at = Some(t);
                     e.mem = MemPhase::InFlight;
                 }
             }
             for resp in responses.iter() {
-                if let Some((ci, ei)) = locate(window, resp.id) {
-                    let e = &mut window[ci].entries[ei];
+                if let Some(i) = locate(window, resp.id) {
+                    let e = &mut window[i];
                     if e.mem == MemPhase::InFlight {
                         e.completed_at = Some(t);
                         e.result = resp.value;
@@ -857,68 +833,55 @@ impl Processor for Ultrascalar {
             }
 
             // Issue-rate histogram: stations that began execution (or
-            // had a memory request accepted) this cycle.
-            let issued_now = window
-                .iter()
-                .flat_map(|cl| cl.entries.iter())
-                .filter(|e| e.issued_at == Some(t))
-                .count();
+            // had a memory request accepted) this cycle. Debug builds
+            // check the counts against full-window recounts.
+            issued_now += accepted.len();
+            debug_assert_eq!(
+                issued_now,
+                window.iter().filter(|e| e.issued_at == Some(t)).count(),
+                "issue count at cycle {t}"
+            );
+            debug_assert!(
+                window
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.instr.is_branch() && e.completed_at == Some(t))
+                    .map(|(i, _)| i)
+                    .eq(resolved_branches.iter().copied()),
+                "resolved branches at cycle {t}"
+            );
             stats.record_issue_count(issued_now);
 
             // ---- Phase C: branch resolution, training and the paper's
-            // one-cycle misprediction recovery.
-            'resolve: for ci in 0..window.len() {
-                for ei in 0..window[ci].entries.len() {
-                    let e = &window[ci].entries[ei];
-                    if e.instr.is_branch() && e.completed_at == Some(t) {
-                        fetch.train(e.pc, e.taken.unwrap_or(false));
-                        if e.mispredicted() {
-                            let correct = e.actual_next.expect("resolved branch has next");
-                            // Record the wrong-path suffix before it is
-                            // squashed (ascending seq: the rest of this
-                            // cluster, then every younger cluster).
-                            let flusher_seq = e.seq;
-                            let start = replay.entries.len();
-                            for fe in &window[ci].entries[ei + 1..] {
-                                replay.push_entry(fe, t);
-                            }
-                            for cl in window.iter().skip(ci + 1) {
-                                for fe in &cl.entries {
-                                    replay.push_entry(fe, t);
-                                }
-                            }
-                            if replay.entries.len() > start {
-                                replay.events.push(FlushEvent {
-                                    branch_seq: flusher_seq,
-                                    start,
-                                    len: replay.entries.len() - start,
-                                });
-                            }
-                            // Flush everything younger: later clusters
-                            // entirely, this cluster past the branch.
-                            let mut flushed = 0u64;
-                            while window.len() > ci + 1 {
-                                if let Some(mut cl) = window.pop_back() {
-                                    flushed += cl.entries.len() as u64;
-                                    cl.entries.clear();
-                                    cluster_pool.push(cl.entries);
-                                }
-                            }
-                            let keep = ei + 1;
-                            flushed += (window[ci].entries.len() - keep) as u64;
-                            window[ci].entries.truncate(keep);
-                            stats.flushed += flushed;
-                            // Refilled clusters reuse the flushed
-                            // physical slots (hardware overwrites the
-                            // squashed stations in place).
-                            alloc_counter = window[ci].ring_index + 1;
-                            fetch.redirect(correct);
-                            if let Some(tc) = &mut trace_cache {
-                                fetch_stalled_until = t + 1 + tc.redirect(correct);
-                            }
-                            break 'resolve;
-                        }
+            // one-cycle misprediction recovery, oldest branch first.
+            for &bi in resolved_branches.iter() {
+                let e = &window[bi];
+                fetch.train(e.pc, e.taken.unwrap_or(false));
+                if e.mispredicted() {
+                    let correct = e.actual_next.expect("resolved branch has next");
+                    // Record the wrong-path suffix before it is squashed.
+                    let flusher_seq = e.seq;
+                    let start = replay.entries.len();
+                    for fe in window.range(bi + 1..) {
+                        replay.push_entry(fe, t);
                     }
+                    if replay.entries.len() > start {
+                        replay.events.push(FlushEvent {
+                            branch_seq: flusher_seq,
+                            start,
+                            len: replay.entries.len() - start,
+                        });
+                    }
+                    // Flush everything younger. Refill reuses the
+                    // flushed physical slots (hardware overwrites the
+                    // squashed stations in place).
+                    stats.flushed += (window.len() - (bi + 1)) as u64;
+                    window.truncate(bi + 1);
+                    fetch.redirect(correct);
+                    if let Some(tc) = &mut trace_cache {
+                        fetch_stalled_until = t + 1 + tc.redirect(correct);
+                    }
+                    break;
                 }
             }
 
@@ -926,16 +889,14 @@ impl Processor for Ultrascalar {
             // (the oldest-station CSPP, evaluated on start-of-cycle
             // state).
             let mut committed_any = false;
-            while let Some(front) = window.front() {
-                let complete_cluster = front.entries.len() == c || fetch.exhausted();
-                let all_done = front.entries.iter().all(|e| e.done_before(t));
-                if !(complete_cluster && all_done) {
+            while !window.is_empty() {
+                let front = c.min(window.len());
+                let complete_cluster = front == c || fetch.exhausted();
+                if !(complete_cluster && window.range(..front).all(|e| e.done_before(t))) {
                     break;
                 }
-                let mut cluster = window.pop_front().expect("front exists");
-                let ring_index = cluster.ring_index;
                 committed_any = true;
-                for (ei, e) in cluster.entries.drain(..).enumerate() {
+                for (ei, e) in window.drain(..front).enumerate() {
                     let synthetic = e.is_synthetic(program.len());
                     if !synthetic {
                         stats.committed += 1;
@@ -946,7 +907,7 @@ impl Processor for Ultrascalar {
                             fetched: e.fetched_at,
                             issue: e.issued_at.expect("committed ⇒ issued"),
                             complete: e.completed_at.expect("committed ⇒ completed"),
-                            slot: (ring_index % k) * c + ei,
+                            slot: head_slot + ei,
                         });
                         if e.instr.is_branch() {
                             stats.branches += 1;
@@ -963,7 +924,7 @@ impl Processor for Ultrascalar {
                         halted = true;
                     }
                 }
-                cluster_pool.push(cluster.entries);
+                head_slot = (head_slot + c) % n;
                 if halted {
                     break;
                 }
@@ -977,14 +938,7 @@ impl Processor for Ultrascalar {
             // (unless a trace-cache miss is stalling fetch).
             let seq_before_refill = next_seq;
             if t + 1 >= fetch_stalled_until {
-                refill(
-                    window,
-                    fetch,
-                    &mut next_seq,
-                    &mut alloc_counter,
-                    cluster_pool,
-                    t + 1,
-                );
+                refill(window, fetch, &mut next_seq, t + 1);
             }
             let refilled = next_seq != seq_before_refill;
 
@@ -1014,8 +968,7 @@ impl Processor for Ultrascalar {
                 // A stalled fetch re-enables refill in the Phase E of
                 // cycle `fetch_stalled_until - 1`; that is an event
                 // only if the window has room for the refill to fill.
-                let room = window.len() < k || window.back().is_some_and(|cl| cl.entries.len() < c);
-                if t + 1 < fetch_stalled_until && room && !fetch.exhausted() {
+                if t + 1 < fetch_stalled_until && window.len() < n && !fetch.exhausted() {
                     event = event.min(fetch_stalled_until - 1);
                 }
                 // No event at all (a genuinely wedged machine) spins to
