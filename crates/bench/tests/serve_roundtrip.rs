@@ -483,3 +483,20 @@ fn max_cycles_above_the_cap_is_a_typed_error() {
     let c = s.shared().counters();
     assert_eq!((c.errors, c.runs), (2, 2));
 }
+
+#[test]
+fn far_org_data_image_is_a_typed_error_not_an_abort() {
+    // A ~40-byte line that used to ask the assembler for ~8 GiB.
+    let hostile = r#"{"program":".org 2000000000\n.word 1\nhalt"}"#;
+    let input = format!("{hostile}\n{PROG}\n");
+    let mut s = Server::new(8, 4);
+    let mut out: Vec<u8> = Vec::new();
+    serve_stream(&mut s, input.as_bytes(), &mut out);
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].starts_with("{\"ok\":false,"), "{}", lines[0]);
+    assert!(lines[0].contains("image limit"), "{}", lines[0]);
+    assert!(lines[1].contains("\"halted\":true"), "{}", lines[1]);
+    let c = s.shared().counters();
+    assert_eq!((c.errors, c.runs), (1, 1));
+}

@@ -27,11 +27,22 @@
 //! .word 3, 5, 8, 13   ; initial data memory, consecutive words
 //! .reg  r2, 42        ; initial register value
 //! ```
+//!
+//! The data image may hold at most [`MAX_DATA_WORDS`] words: a `.word`
+//! placed at or past that address is an error, so a short `.org`
+//! line cannot make the assembler allocate gigabytes.
 
 use std::collections::HashMap;
 
 use crate::instr::{AluOp, BranchCond, Instr, Reg};
 use crate::program::Program;
+
+/// Largest data image, in words, that `.org`/`.word` may build. Far
+/// above any image in this repository (the simulated memories hold
+/// 2^16 words), yet small enough that a hostile `.org 2000000000`
+/// followed by `.word` is a typed error instead of an 8 GiB
+/// allocation.
+pub const MAX_DATA_WORDS: usize = 1 << 20;
 
 /// Assembly error with a 1-based source line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,8 +93,11 @@ fn parse_imm(tok: &str, line: usize) -> Result<i32, AsmError> {
         body.parse()
             .map_err(|_| err(line, format!("bad immediate `{tok}`")))?
     };
-    let v = if neg { -v } else { v };
-    i32::try_from(v).map_err(|_| err(line, format!("immediate `{tok}` out of i32 range")))
+    // `checked_neg`: the body may itself carry a sign (`--0x8000…`),
+    // and negating `i64::MIN` would overflow.
+    let v = if neg { v.checked_neg() } else { Some(v) };
+    v.and_then(|v| i32::try_from(v).ok())
+        .ok_or_else(|| err(line, format!("immediate `{tok}` out of i32 range")))
 }
 
 /// Parse `offset(base)`, e.g. `8(r2)` or `-4(r0)`.
@@ -169,6 +183,15 @@ pub fn assemble(src: &str, num_regs: usize) -> Result<Program, AsmError> {
         if let Some(rest) = code.strip_prefix(".word") {
             for tok in rest.split(',').map(str::trim).filter(|t| !t.is_empty()) {
                 let v = parse_imm(tok, line)? as u32;
+                if mem_cursor >= MAX_DATA_WORDS {
+                    return Err(err(
+                        line,
+                        format!(
+                            "data word at address {mem_cursor} is past the \
+                             {MAX_DATA_WORDS}-word image limit"
+                        ),
+                    ));
+                }
                 if init_mem.len() <= mem_cursor {
                     init_mem.resize(mem_cursor + 1, 0);
                 }
@@ -570,6 +593,29 @@ mod directive_tests {
         assert!(assemble(".reg r1", 4).is_err());
         assert!(assemble(".reg r9, 1", 4).is_err());
         assert!(assemble(".bogus 3", 4).is_err());
+    }
+
+    #[test]
+    fn data_image_is_capped_before_allocating() {
+        // Every case is rejected before the image is resized, so none
+        // allocates anything near the size it asks for.
+        let e = assemble(".org 2000000000\n.word 1\nhalt", 4).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("image limit"), "{e}");
+        let at_cap = format!(".org {MAX_DATA_WORDS}\n.word 1\nhalt");
+        assert!(assemble(&at_cap, 4).is_err());
+        let spill = format!(".org {}\n.word 0x7fffffff\nhalt", i32::MAX);
+        assert!(assemble(&spill, 4).is_err());
+        // `.org` alone places no data.
+        let p = assemble(".org 2000000000\nhalt", 4).unwrap();
+        assert!(p.init_mem.is_empty());
+    }
+
+    #[test]
+    fn doubly_signed_immediates_are_errors_not_overflows() {
+        assert!(assemble("li r1, --9223372036854775808\nhalt", 4).is_err());
+        assert!(assemble("li r1, -0x-8000000000000000\nhalt", 4).is_err());
+        assert!(assemble(".word --9223372036854775808", 4).is_err());
     }
 
     #[test]
