@@ -351,3 +351,49 @@ fn epoch_replay_loop_allocates_nothing_in_steady_state() {
         );
     }
 }
+
+#[test]
+fn warm_engine_run_loop_allocates_nothing_in_steady_state() {
+    use ultrascalar::{PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar};
+    use ultrascalar_bench::kernels::branch_gauntlet_seeded;
+    use ultrascalar_memsys::MemConfig;
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // The bimodal predictor mispredicts the gauntlet's data-dependent
+    // branches, so every run refills, commits and flushes the station
+    // window and fills the resolved-branch list many times over: both
+    // must reuse their capacity once the engine is warm.
+    let bimodal = PredictorKind::Bimodal(64);
+    let prog = branch_gauntlet_seeded(16);
+    for (name, cfg) in [
+        ("usi256", ProcConfig::ultrascalar_i(256)),
+        ("usii64", ProcConfig::ultrascalar_ii(64)),
+        (
+            "hybrid64c8_realmem",
+            ProcConfig::hybrid(64, 8).with_mem(MemConfig::realistic(64, 1 << 16)),
+        ),
+    ] {
+        let mut engine = Ultrascalar::new(cfg.with_predictor(bimodal));
+        let mut out = RunResult::default();
+        engine.run_reusing(&prog, &mut out);
+        engine.run_reusing(&prog, &mut out);
+
+        let guard = ProbeGuard::arm();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..10 {
+            engine.run_reusing(&prog, &mut out);
+        }
+        let after = ALLOCS.load(Ordering::SeqCst);
+        drop(guard);
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: warm engine run allocated in steady state"
+        );
+        assert!(out.halted, "{name}: the gauntlet halts");
+        assert!(
+            !engine.replay_log().events.is_empty(),
+            "{name}: the probed runs must flush"
+        );
+    }
+}
