@@ -9,6 +9,7 @@ use ultrascalar::{
     render_station_occupancy, render_timing_diagram, ForwardModel, PredictorKind, ProcConfig,
     Processor, RunResult, Ultrascalar,
 };
+use ultrascalar_isa::interp::DEFAULT_MEM_WORDS;
 use ultrascalar_isa::{assemble, disassemble, read_binary, write_binary, Program};
 use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
 
@@ -345,7 +346,7 @@ pub fn build_config(o: &RunOptions) -> Result<ProcConfig, String> {
         bank_occupancy: 1,
         hop_latency: 1,
         base_latency: 0,
-        words: 1 << 16,
+        words: DEFAULT_MEM_WORDS,
         network: o.network,
         cluster_cache: None,
     };

@@ -147,9 +147,10 @@ impl JsonPoint {
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     experiment: String,
-    /// Host SIMD capability and the level the lane kernels use —
-    /// stamped into every artifact so numbers from different hosts are
-    /// comparable at a glance.
+    /// Host CPU count, SIMD capability and the level the lane kernels
+    /// use — stamped into every artifact so numbers from different
+    /// hosts are comparable at a glance.
+    host_cpus: usize,
     simd_detected: &'static str,
     simd_active: &'static str,
     points: Vec<JsonPoint>,
@@ -157,12 +158,13 @@ pub struct JsonReport {
 }
 
 impl JsonReport {
-    /// Start an empty report for the named experiment. The host's
-    /// detected SIMD level and the level the lane kernels use are
-    /// recorded at construction time.
+    /// Start an empty report for the named experiment. The host's CPU
+    /// count, detected SIMD level and the level the lane kernels use
+    /// are recorded at construction time.
     pub fn new(experiment: &str) -> Self {
         JsonReport {
             experiment: experiment.to_string(),
+            host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
             simd_detected: ultrascalar_prefix::detected_simd_level(),
             simd_active: ultrascalar_prefix::active_simd_level(),
             points: Vec::new(),
@@ -225,6 +227,7 @@ impl JsonReport {
             "  \"experiment\": \"{}\",\n",
             escape(&self.experiment)
         ));
+        out.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
         out.push_str(&format!(
             "  \"simd_detected\": \"{}\",\n  \"simd_active\": \"{}\",\n",
             self.simd_detected, self.simd_active
@@ -441,6 +444,7 @@ mod tests {
         assert!(!rep.is_empty());
         let s = rep.render();
         assert!(s.contains("\"experiment\": \"unit \\\"test\\\"\""));
+        assert!(s.contains("\"host_cpus\": "));
         assert!(s.contains("\"label\": \"a/n=1\""));
         assert!(s.contains("\"steps\": 1000000"));
         assert!(s.contains("\"steps_per_sec\": 4000000.0"));

@@ -2,6 +2,7 @@
 
 use crate::latency::LatencyModel;
 use crate::predict::PredictorKind;
+use ultrascalar_isa::interp::DEFAULT_MEM_WORDS;
 use ultrascalar_memsys::MemConfig;
 
 /// How register results travel from producer to consumer stations
@@ -137,7 +138,7 @@ impl ProcConfig {
             cluster: 1,
             latency: LatencyModel::default(),
             predictor: PredictorKind::Perfect,
-            mem: MemConfig::ideal(window, 1 << 16),
+            mem: MemConfig::ideal(window, DEFAULT_MEM_WORDS),
             max_cycles: 10_000_000,
             alus: None,
             memory_renaming: false,

@@ -357,9 +357,11 @@ impl Processor for Ultrascalar {
             responses,
         } = &mut self.scratch;
         replay.clear();
+        let kind = self.cfg.predictor;
+        let words = self.cfg.mem.words_for(program.init_mem.len());
         match fetch {
-            Some(f) => f.reset(program, self.cfg.predictor, ORACLE_FUEL),
-            None => *fetch = Some(FetchUnit::new(program, self.cfg.predictor, ORACLE_FUEL)),
+            Some(f) => f.reset(program, kind, ORACLE_FUEL, words),
+            None => *fetch = Some(FetchUnit::new(program, kind, ORACLE_FUEL, words)),
         }
         let fetch = fetch.as_mut().expect("fetch unit initialised above");
         match mem {
@@ -990,8 +992,7 @@ impl Processor for Ultrascalar {
         // Timings carry unique `seq` keys, so the unstable sort is
         // deterministic — and, unlike the stable sort, allocation-free.
         timings.sort_unstable_by_key(|x| x.seq);
-        out_mem.clear();
-        out_mem.extend_from_slice(mem.snapshot());
+        out_mem.clone_from(mem.snapshot());
         *out_cycles = t;
         *out_halted = halted;
     }

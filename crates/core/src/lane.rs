@@ -107,6 +107,7 @@ use crate::config::ProcConfig;
 use crate::engine::{FlushedEntry, ReplayLog, Ultrascalar};
 use crate::processor::{Processor, RunResult};
 use ultrascalar_isa::{AluOp, BranchCond, Instr, Program};
+use ultrascalar_memsys::PagedWords;
 use ultrascalar_prefix::lanes::{self, LaneValue, LANES};
 
 /// Maximum lanes per batch: one simulation per bit of the plane word.
@@ -203,7 +204,7 @@ pub struct LaneBatcher {
     /// One 64-lane bundle per architectural register.
     regs: Vec<LaneValue>,
     /// Per-lane data memory (entry `l` valid while lane `l` is active).
-    mems: Vec<Vec<u32>>,
+    mems: Vec<PagedWords>,
     /// Wrong-path register overlay for segment replay: per-register
     /// per-lane scalar values, generation-stamped so starting a new
     /// segment is one counter bump instead of a clear.
@@ -350,14 +351,11 @@ impl LaneBatcher {
 
         // Per-lane memory images.
         if self.mems.len() < n {
-            self.mems.resize_with(n, Vec::new);
+            self.mems.resize_with(n, PagedWords::default);
         }
-        for (l, p) in programs.iter().enumerate() {
-            let p = p.borrow();
-            let m = &mut self.mems[l];
-            m.clear();
-            m.resize(words, 0);
-            m[..p.init_mem.len()].copy_from_slice(&p.init_mem);
+        for (m, p) in self.mems.iter_mut().zip(programs) {
+            m.clear(words);
+            m.load_image(&p.borrow().init_mem);
         }
 
         // Wrong-path overlay scratch for this batch's register file.
@@ -424,7 +422,7 @@ impl LaneBatcher {
                     while act != 0 {
                         let l = act.trailing_zeros() as usize;
                         act &= act - 1;
-                        self.mems[l][addr] = vals[l];
+                        self.mems[l].set(addr, vals[l]);
                     }
                 }
                 Instr::Branch {
@@ -806,18 +804,18 @@ fn run_serial<P: Borrow<Program>>(engine: &mut Ultrascalar, programs: &[P], out:
 }
 
 /// The effective memory size every lane must agree on (the engine and
-/// interpreter both size memory as
-/// `max(cfg.mem.words, init_mem.len(), 1)`), or `None` if the group is
-/// not lane-batchable: instruction streams, register-file sizes, or
+/// interpreter both size memory by
+/// [`ultrascalar_memsys::MemConfig::words_for`]), or `None` if the group
+/// is not lane-batchable: instruction streams, register-file sizes, or
 /// effective memory sizes differ.
 fn compatible_words<P: Borrow<Program>>(cfg: &ProcConfig, programs: &[P]) -> Option<usize> {
     let p0 = programs[0].borrow();
-    let words = cfg.mem.words.max(p0.init_mem.len()).max(1);
+    let words = cfg.mem.words_for(p0.init_mem.len());
     for p in &programs[1..] {
         let p = p.borrow();
         if p.instrs != p0.instrs
             || p.num_regs != p0.num_regs
-            || cfg.mem.words.max(p.init_mem.len()).max(1) != words
+            || cfg.mem.words_for(p.init_mem.len()) != words
         {
             return None;
         }

@@ -3,12 +3,14 @@
 use crate::stats::ProcStats;
 use crate::timing::InstrTiming;
 use ultrascalar_isa::Program;
+use ultrascalar_memsys::PagedWords;
 
 /// The outcome of running a program to completion on a processor model.
 ///
 /// `Default` is the empty (no run yet) state; it exists so callers of
 /// [`Processor::run_reusing`] can hold one result buffer and let each
-/// run overwrite it in place, reusing the vectors' capacity.
+/// run overwrite it in place, reusing the vectors' capacity and the
+/// memory image's page buffers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunResult {
     /// Did the program's halt commit (vs the cycle budget expiring)?
@@ -17,8 +19,10 @@ pub struct RunResult {
     pub cycles: u64,
     /// Committed architectural register file.
     pub regs: Vec<u32>,
-    /// Final data-memory contents.
-    pub mem: Vec<u32>,
+    /// Final data-memory contents: every word of the run's memory
+    /// (`cfg.mem.words_for(init_mem.len())` words), of which only the
+    /// pages the run loaded or wrote hold buffers.
+    pub mem: PagedWords,
     /// Statistics.
     pub stats: ProcStats,
     /// Per-committed-instruction issue/complete cycles, in program
@@ -96,10 +100,11 @@ pub fn check_against_golden(
             result.mem.len()
         ));
     }
-    for (addr, (a, b)) in interp.mem.iter().zip(&result.mem).enumerate() {
-        if a != b {
-            return Err(format!("memory[{addr}]: golden {a}, processor {b}"));
-        }
+    if let Some(addr) = interp.mem.first_difference(&result.mem) {
+        return Err(format!(
+            "memory[{addr}]: golden {}, processor {}",
+            interp.mem[addr], result.mem[addr]
+        ));
     }
     Ok(())
 }

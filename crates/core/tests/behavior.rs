@@ -2,6 +2,7 @@
 //! cluster-granularity effects (US-I vs hybrid vs US-II), one-cycle
 //! misprediction recovery, and memory-bandwidth sensitivity.
 
+use ultrascalar::processor::check_against_golden;
 use ultrascalar::{
     render_timing_diagram, LatencyModel, PredictorKind, ProcConfig, Processor, Ultrascalar,
 };
@@ -262,6 +263,36 @@ fn store_to_load_ordering_is_respected() {
         assert_eq!(r.regs[3], 100);
         assert_eq!(r.mem[5], 99);
     }
+}
+
+/// The perfect oracle runs the golden interpreter over the engine's own
+/// memory size. Here the store to 1500 wraps onto word 476 of a
+/// 1 Ki-word memory, so the load reads 7 and the branch falls through;
+/// an oracle over a larger memory would read 0, predict the branch
+/// taken, and be redirected.
+#[test]
+fn perfect_oracle_wraps_addresses_like_the_engine() {
+    let src = "
+        li   r1, 1500
+        li   r2, 7
+        sw   r2, (r1)
+        li   r3, 476
+        lw   r4, (r3)
+        li   r5, 0
+        beq  r4, r5, skip
+        li   r6, 1
+    skip:
+        halt
+    ";
+    let prog = assemble(src, 7).unwrap();
+    let cfg = ProcConfig::ultrascalar_i(8).with_mem(MemConfig::ideal(8, 1024));
+    let r = Ultrascalar::new(cfg).run(&prog);
+    assert!(r.halted);
+    assert_eq!(r.regs[4], 7);
+    assert_eq!(r.regs[6], 1, "the branch falls through");
+    assert_eq!(r.mem.len(), 1024);
+    assert_eq!(r.mem[476], 7);
+    check_against_golden(&r, &prog, 1000).unwrap();
 }
 
 /// Stores must not issue speculatively: a store behind a mispredicted

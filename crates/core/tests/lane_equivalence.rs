@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use ultrascalar::{
     LaneBatcher, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar, MAX_LANES,
 };
-use ultrascalar_isa::{workload, AluOp, BranchCond, Instr, Program, Reg};
+use ultrascalar_isa::{assemble, workload, AluOp, BranchCond, Instr, Program, Reg};
 
 struct Rng(u64);
 impl Rng {
@@ -458,4 +458,39 @@ fn warm_batcher_reruns_are_identical() {
             assert_identical(got, want, &format!("round {round} lane {l}"));
         }
     }
+}
+
+#[test]
+fn far_store_does_not_leak_through_swapped_result_slots() {
+    // Converged lanes swap their memory images into the result slots,
+    // so the batcher's lane images next time round are the previous
+    // results. A page one batch dirtied must not survive into the
+    // next: the second group only loads the address the first stored
+    // its per-lane register to.
+    let cfg = ProcConfig::ultrascalar_i(8);
+    let store = assemble("li r1, 40000\nsw r2, (r1)\nhalt", 4).unwrap();
+    let load = assemble("li r1, 40000\nlw r3, (r1)\nhalt", 4).unwrap();
+    let stores = workload::lane_variants(&store, 8, 3);
+    let loads = workload::lane_variants(&load, 8, 4);
+    let (store_refs, load_refs): (Vec<&Program>, Vec<&Program>) =
+        (stores.iter().collect(), loads.iter().collect());
+    let (store_golden, load_golden) = (serial_runs(&cfg, &stores), serial_runs(&cfg, &loads));
+    let mut batcher = LaneBatcher::new();
+    let mut engine = Ultrascalar::new(cfg.clone());
+    let mut out = vec![RunResult::default(); 8];
+    for round in 0..2 {
+        batcher.run_batch(&mut engine, &store_refs, &mut out);
+        for (l, (got, want)) in out.iter().zip(&store_golden).enumerate() {
+            assert_identical(got, want, &format!("store round {round} lane {l}"));
+            assert_eq!(got.mem[40000], stores[l].init_regs[2]);
+        }
+        batcher.run_batch(&mut engine, &load_refs, &mut out);
+        for (l, (got, want)) in out.iter().zip(&load_golden).enumerate() {
+            assert_identical(got, want, &format!("load round {round} lane {l}"));
+            assert_eq!(got.regs[3], 0, "load round {round} lane {l}: stale store");
+        }
+    }
+    let stats = *batcher.stats();
+    assert_eq!(stats.batches, 4, "every group took the lock-step path");
+    assert_eq!(stats.peels, 0);
 }

@@ -8,7 +8,7 @@
 use ultrascalar::{
     EnginePool, ForwardModel, PredictorKind, ProcConfig, Processor, RunResult, Ultrascalar,
 };
-use ultrascalar_isa::workload;
+use ultrascalar_isa::{assemble, workload};
 use ultrascalar_memsys::{Bandwidth, CacheConfig, MemConfig, NetworkKind};
 
 /// The configuration corners the serving mode is expected to cycle
@@ -89,6 +89,27 @@ fn reused_engine_is_cycle_exact_across_the_suite() {
                 let fresh = Ultrascalar::new(cfg.clone()).run(prog);
                 assert_same(&format!("{cname}/{kname}/pass{pass}"), &out, &fresh);
             }
+        }
+    }
+}
+
+/// A warm run must start from clean memory even where the previous run
+/// dirtied a page far from the image: the second program only loads
+/// the address the first one stored to, in every config.
+#[test]
+fn far_store_does_not_leak_into_the_next_run() {
+    let store = assemble("li r1, 40000\nli r2, 123\nsw r2, (r1)\nhalt", 4).unwrap();
+    let load = assemble("li r1, 40000\nlw r3, (r1)\nhalt", 4).unwrap();
+    for (cname, cfg) in configs() {
+        let mut warm = Ultrascalar::new(cfg.clone());
+        let mut out = RunResult::default();
+        for round in 0..2 {
+            warm.run_reusing(&store, &mut out);
+            assert_eq!(out.mem[40000], 123, "{cname}: the store landed");
+            warm.run_reusing(&load, &mut out);
+            let fresh = Ultrascalar::new(cfg.clone()).run(&load);
+            assert_same(&format!("far/{cname}/round{round}"), &out, &fresh);
+            assert_eq!(out.regs[3], 0, "{cname}: the load saw a stale store");
         }
     }
 }

@@ -209,8 +209,8 @@ fn random_loop_differential() {
             assert!(r.halted, "iter {iter} {name}: did not halt");
             assert_eq!(r.regs, golden_regs, "iter {iter} {name}: reg mismatch");
             assert_eq!(
-                &r.mem[..32],
-                &interp.mem[..32],
+                &r.mem.to_vec()[..32],
+                &interp.mem.to_vec()[..32],
                 "iter {iter} {name}: mem mismatch"
             );
         }
@@ -284,8 +284,8 @@ fn random_differential() {
             assert!(r.halted, "iter {iter} {name}: did not halt");
             assert_eq!(r.regs, golden_regs, "iter {iter} {name}: reg mismatch");
             assert_eq!(
-                &r.mem[..32],
-                &interp.mem[..32],
+                &r.mem.to_vec()[..32],
+                &interp.mem.to_vec()[..32],
                 "iter {iter} {name}: mem mismatch"
             );
         }

@@ -14,6 +14,7 @@
 
 use crate::instr::Instr;
 use crate::program::Program;
+use ultrascalar_memsys::PagedWords;
 
 /// One committed instruction in the dynamic execution trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +73,7 @@ pub struct Interp {
     /// Register file, length `program.num_regs`.
     pub regs: Vec<u32>,
     /// Word-addressed data memory.
-    pub mem: Vec<u32>,
+    pub mem: PagedWords,
     /// Has a `halt` executed (or the pc fallen off the end)?
     pub halted: bool,
     steps: usize,
@@ -94,9 +95,8 @@ impl Interp {
         program
             .validate()
             .expect("program must validate before execution");
-        let size = mem_words.max(program.init_mem.len()).max(1);
-        let mut mem = vec![0u32; size];
-        mem[..program.init_mem.len()].copy_from_slice(&program.init_mem);
+        let mut mem = PagedWords::new(mem_words.max(program.init_mem.len()).max(1));
+        mem.load_image(&program.init_mem);
         Interp {
             program: program.clone(),
             pc: 0,
@@ -166,7 +166,7 @@ impl Interp {
             }
             Instr::Store { src, base, offset } => {
                 let addr = self.effective_addr(self.regs[base.index()], offset);
-                self.mem[addr] = self.regs[src.index()];
+                self.mem.set(addr, self.regs[src.index()]);
                 mem_addr = Some(addr);
             }
             Instr::Branch {
@@ -331,7 +331,7 @@ mod tests {
             4,
         );
         let mut m = Interp::new(&p, 16);
-        m.mem[0] = 1234;
+        m.mem.set(0, 1234);
         let out = m.run(100);
         assert!(out.halted());
         assert_eq!(m.mem[4], 99);
@@ -354,7 +354,7 @@ mod tests {
             2,
         );
         let mut m = Interp::new(&p, 16);
-        m.mem[3] = 77;
+        m.mem.set(3, 77);
         m.run(100);
         assert_eq!(m.regs[1], 77);
     }
@@ -406,7 +406,7 @@ mod tests {
             .with_init_mem(vec![5, 6, 7]);
         let m = Interp::new(&p, 2);
         assert_eq!(m.regs, vec![11, 22]);
-        assert_eq!(&m.mem[..3], &[5, 6, 7]);
+        assert_eq!(&m.mem.to_vec()[..3], &[5, 6, 7]);
         assert!(m.mem.len() >= 3);
     }
 

@@ -850,7 +850,7 @@ mod tests {
         let m = run(&matvec(r, c));
         let y_base = (r * c + c) as usize;
         assert_eq!(
-            &m.mem[y_base..y_base + r as usize],
+            &m.mem.to_vec()[y_base..y_base + r as usize],
             &matvec_expected(r, c)[..]
         );
     }
@@ -876,7 +876,7 @@ mod tests {
     fn sieve_finds_primes() {
         let n = 60;
         let m = run(&sieve(n));
-        assert_eq!(&m.mem[..n as usize], &sieve_expected(n)[..]);
+        assert_eq!(&m.mem.to_vec()[..n as usize], &sieve_expected(n)[..]);
         // Spot-check: 53 prime, 57 = 3·19 not.
         assert_eq!(m.mem[53], 1);
         assert_eq!(m.mem[57], 0);
@@ -892,7 +892,10 @@ mod tests {
         for &v in &data {
             expect[v as usize] += 1;
         }
-        assert_eq!(&m.mem[n as usize..(n + buckets) as usize], &expect[..],);
+        assert_eq!(
+            &m.mem.to_vec()[n as usize..(n + buckets) as usize],
+            &expect[..],
+        );
         assert_eq!(expect.iter().sum::<u32>(), n);
     }
 

@@ -5,10 +5,12 @@
 //! sequential accesses evenly. Each bank accepts one access per
 //! `bank_occupancy` cycles.
 
+use crate::paged::PagedWords;
+
 /// Banked, word-addressed storage with per-bank occupancy tracking.
 #[derive(Debug, Clone)]
 pub struct BankedMemory {
-    words: Vec<u32>,
+    words: PagedWords,
     banks: usize,
     /// The first cycle at which each bank is free again.
     free_at: Vec<u64>,
@@ -29,7 +31,7 @@ impl BankedMemory {
         assert!(banks > 0, "need at least one bank");
         assert!(words > 0, "need at least one word");
         BankedMemory {
-            words: vec![0; words],
+            words: PagedWords::new(words),
             banks,
             free_at: vec![0; banks],
             occupancy: occupancy.max(1),
@@ -38,15 +40,17 @@ impl BankedMemory {
         }
     }
 
-    /// Rewind to the as-constructed state in place (no allocation):
-    /// storage re-zeroed then loaded with `image`, every bank free at
-    /// cycle 0, counters cleared. Word and bank counts are unchanged.
+    /// Rewind to the as-constructed state in place: `words` words of
+    /// storage holding `image` then zeros, every bank free at cycle 0,
+    /// counters cleared. Only pages the last run wrote are cleared, and
+    /// a warm memory allocates nothing. The bank count is unchanged.
     ///
     /// # Panics
-    /// Panics if the image exceeds the memory size.
-    pub fn reset(&mut self, image: &[u32]) {
-        self.words.fill(0);
-        self.load_image(image);
+    /// Panics if `words == 0` or the image exceeds `words`.
+    pub fn reset(&mut self, words: usize, image: &[u32]) {
+        assert!(words > 0, "need at least one word");
+        self.words.clear(words);
+        self.words.load_image(image);
         self.free_at.fill(0);
         self.accesses = 0;
         self.bank_conflicts = 0;
@@ -57,8 +61,7 @@ impl BankedMemory {
     /// # Panics
     /// Panics if the image exceeds the memory size.
     pub fn load_image(&mut self, image: &[u32]) {
-        assert!(image.len() <= self.words.len(), "image larger than memory");
-        self.words[..image.len()].copy_from_slice(image);
+        self.words.load_image(image);
     }
 
     /// Number of words.
@@ -105,7 +108,7 @@ impl BankedMemory {
         self.accesses += 1;
         match store {
             Some(v) => {
-                self.words[addr] = v;
+                self.words.set(addr, v);
                 Some(v)
             }
             None => Some(self.words[addr]),
@@ -115,19 +118,18 @@ impl BankedMemory {
     /// Debug/architectural read without occupying a bank.
     #[inline]
     pub fn peek(&self, addr: usize) -> u32 {
-        self.words[addr % self.words.len()]
+        self.words[addr]
     }
 
     /// Debug/architectural write without occupying a bank.
     #[inline]
     pub fn poke(&mut self, addr: usize, v: u32) {
-        let n = self.words.len();
-        self.words[addr % n] = v;
+        self.words.set(addr, v);
     }
 
     /// The full architectural contents (for end-of-run comparison with
     /// the golden interpreter).
-    pub fn snapshot(&self) -> &[u32] {
+    pub fn snapshot(&self) -> &PagedWords {
         &self.words
     }
 }
@@ -189,7 +191,7 @@ mod tests {
     fn image_loading() {
         let mut m = BankedMemory::new(8, 2, 1);
         m.load_image(&[1, 2, 3]);
-        assert_eq!(&m.snapshot()[..3], &[1, 2, 3]);
+        assert_eq!(&m.snapshot().to_vec()[..3], &[1, 2, 3]);
         assert_eq!(m.snapshot()[3], 0);
     }
 

@@ -16,6 +16,8 @@
 //!   circuits), and blocked requests retry next cycle;
 //! * [`banked`] — the interleaved memory banks behind the tree, with
 //!   per-bank occupancy;
+//! * [`paged`] — [`PagedWords`], the paged word image that holds the
+//!   banks' contents (and the golden interpreter's and every lane's);
 //! * [`system`] — [`system::MemSystem`], the synchronous request/
 //!   response interface the processor models drive.
 
@@ -28,8 +30,10 @@ mod bitwords;
 pub mod butterfly;
 pub mod cache;
 pub mod fattree;
+pub mod paged;
 pub mod system;
 
 pub use bandwidth::Bandwidth;
 pub use cache::{CacheConfig, ClusterCaches};
+pub use paged::PagedWords;
 pub use system::{MemConfig, MemRequest, MemResponse, MemStats, MemSystem, NetworkKind, ReqKind};

@@ -13,6 +13,7 @@ use crate::banked::BankedMemory;
 use crate::butterfly::Butterfly;
 use crate::cache::{CacheConfig, ClusterCaches};
 use crate::fattree::FatTree;
+use crate::paged::PagedWords;
 
 /// Which interconnect carries requests to the banks (the paper's §2:
 /// "via two fat-tree or butterfly networks").
@@ -42,7 +43,8 @@ pub struct MemConfig {
     pub hop_latency: u64,
     /// Fixed pipeline latency added to every access.
     pub base_latency: u64,
-    /// Memory size in words.
+    /// Memory size in words (a program image longer than this widens
+    /// its run's memory; see [`MemConfig::words_for`]).
     pub words: usize,
     /// Interconnect topology.
     pub network: NetworkKind,
@@ -81,6 +83,14 @@ impl MemConfig {
             network: NetworkKind::FatTree,
             cluster_cache: None,
         }
+    }
+
+    /// The word count of a run's memory for an initial image of
+    /// `image_len` words: `max(words, image_len, 1)`. The engine, the
+    /// golden interpreter behind the perfect oracle, and the lane layer
+    /// all size memory by this, so they agree on address wrap-around.
+    pub fn words_for(&self, image_len: usize) -> usize {
+        self.words.max(image_len).max(1)
     }
 
     /// Builder: switch the interconnect topology.
@@ -216,7 +226,7 @@ pub struct MemSystem {
 impl MemSystem {
     /// Build a memory system and load the initial image.
     pub fn new(cfg: MemConfig, image: &[u32]) -> Self {
-        let words = cfg.words.max(image.len()).max(1);
+        let words = cfg.words_for(image.len());
         let mut banks = BankedMemory::new(words, cfg.banks.max(1), cfg.bank_occupancy);
         banks.load_image(image);
         let net = match cfg.network {
@@ -242,21 +252,15 @@ impl MemSystem {
     }
 
     /// Rewind to the freshly-constructed state for a new run, reusing
-    /// every retained buffer: storage is re-zeroed and reloaded with
-    /// `image`, network capacities and caches are cleared, in-flight
-    /// accesses are dropped, and statistics return to zero. After this,
-    /// the system is observationally identical to
+    /// every retained buffer: the pages the last run wrote are zeroed
+    /// and `image` is reloaded, network capacities and caches are
+    /// cleared, in-flight accesses are dropped, and statistics return
+    /// to zero. After this, the system is observationally identical to
     /// `MemSystem::new(cfg, image)` — the reuse-equivalence tests in
-    /// `ultrascalar` pin that cycle-exactly. Allocation-free unless the
-    /// image forces a different word count than the previous run.
+    /// `ultrascalar` pin that cycle-exactly. Allocation-free once warm,
+    /// unless the image forces a larger word count than any earlier run.
     pub fn reset(&mut self, image: &[u32]) {
-        let words = self.cfg.words.max(image.len()).max(1);
-        if words == self.banks.len() {
-            self.banks.reset(image);
-        } else {
-            self.banks = BankedMemory::new(words, self.cfg.banks.max(1), self.cfg.bank_occupancy);
-            self.banks.load_image(image);
-        }
+        self.banks.reset(self.cfg.words_for(image.len()), image);
         self.net.reset();
         if let Some(caches) = &mut self.caches {
             caches.reset();
@@ -405,7 +409,7 @@ impl MemSystem {
     }
 
     /// Architectural memory contents.
-    pub fn snapshot(&self) -> &[u32] {
+    pub fn snapshot(&self) -> &PagedWords {
         self.banks.snapshot()
     }
 
@@ -589,7 +593,7 @@ mod tests {
         let mut m = MemSystem::new(MemConfig::ideal(2, 8), &[]);
         m.tick(0, &[req(1, 0, 1, ReqKind::Store(10))]);
         m.tick(1, &[req(2, 1, 2, ReqKind::Store(20))]);
-        assert_eq!(&m.snapshot()[..3], &[0, 10, 20]);
+        assert_eq!(&m.snapshot().to_vec()[..3], &[0, 10, 20]);
     }
 }
 
